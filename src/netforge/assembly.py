@@ -380,29 +380,31 @@ def coordinate_quantization(asm, kappa, ell, table, mu_max=2.5,
     master = asm.master
     if weights is None:
         weights = master.weights
-    rows = []
-    for ek in master.edges:
-        p, q = ek
+    edges = master.edges
+    r = np.empty(len(edges))
+    allowance = np.empty(len(edges))
+    for k, (p, q) in enumerate(edges):
         d = master.vertices[q] - master.vertices[p]
-        r = abs(d)
-        u = d / r
+        r[k] = abs(d)
         rp = asm.subs[p].net.vertices[asm.subs[p].anchors[q]]
         rq = asm.subs[q].net.vertices[asm.subs[q].anchors[p]]
-        allowance = ((rq - rp) * u.conjugate()).real
-        alpha = table.alpha_ell(weights[ek], ell)
-        rows.append((ek, r, allowance, 1.0 - alpha))
-    best = None
-    for mu in np.linspace(1.0, mu_max, 3001):
-        defect = 0.0
-        mm = {}
-        for ek, r, allowance, one_m_alpha in rows:
-            g = mu * kappa * r + allowance
-            m = max(1, round(g / (2.0 * one_m_alpha)))
-            mm[ek] = m
-            defect = max(defect, abs(2 * m * one_m_alpha - g))
-        if best is None or defect < best[0] - 1e-12:
-            best = (defect, mu, mm)
-    return best[2], best[1]
+        allowance[k] = ((rq - rp) * (d / r[k]).conjugate()).real
+    one_m_alpha = 1.0 - table.alpha_ell(
+        np.array([weights[ek] for ek in edges]), ell)
+    mus = np.linspace(1.0, mu_max, 3001)
+    g = mus[:, None] * kappa * r + allowance          # (mu, edge)
+    counts = np.maximum(1.0, np.rint(g / (2.0 * one_m_alpha)))
+    defect = np.max(np.abs(2 * counts * one_m_alpha - g), axis=1,
+                    initial=0.0)
+    # the first mu whose defect beats the best so far by more than 1e-12
+    best = 0
+    while True:
+        better = np.flatnonzero(defect[best + 1:] < defect[best] - 1e-12)
+        if not better.size:
+            break
+        best += 1 + int(better[0])
+    return ({ek: int(m) for ek, m in zip(edges, counts[best])},
+            float(mus[best]))
 
 
 # --- master solve ----------------------------------------------------------
@@ -422,18 +424,6 @@ class MasterSolveResult:
     residuals: dict              # condition letter -> max residual
     info: NewtonInfo
     f: dict                      # (p, r) -> complex
-
-
-def _pack_layout(asm):
-    """Index layout of the sub-network unknowns (positions then weights,
-    per master vertex in canonical order)."""
-    layout = []
-    off = 0
-    for p in asm.master.ids:
-        sub = asm.subs[p]
-        layout.append((p, off, sub.net.n, sub.net.m))
-        off += 2 * sub.net.n + sub.net.m
-    return layout, off
 
 
 def solve_master(asm, kappa, ell, table, f=None, tol=1e-11, skip_verify=False,
@@ -471,18 +461,52 @@ def solve_master(asm, kappa, ell, table, f=None, tol=1e-11, skip_verify=False,
     avec = np.array([master.weights[e] for e in edges])
     Qp = null_space(pvec[None, :])
     Qa = null_space(avec[None, :])
-    layout, sub_len = _pack_layout(asm)
     nm = 2 * n + m               # reparametrized master block size
-    N = nm + 3 + sub_len
 
-    sub_ref = []
-    for p, off, np_, mp in layout:
-        sub = asm.subs[p]
-        pos0 = np.array([c for r in sub.net.ids
-                         for c in (sub.net.vertices[r].real,
-                                   sub.net.vertices[r].imag)])
-        w0 = np.array([sub.net.weights[e] for e in sub.net.edges])
-        sub_ref.append((pos0, w0))
+    # Sub-network unknowns follow the master block, e and t: per master
+    # vertex in canonical order, the sub's positions (x, y interleaved)
+    # then its weights. Sub vertices and sub edges are numbered globally
+    # in that same order, which is also the row order of groups (a), (c)/(d).
+    vert = {}                    # (p, r) -> global sub vertex
+    sub_edges = []               # (p, edge) of each global sub edge
+    pos_at, w_at = [], []        # x index of each vertex's x / edge's weight
+    eu, ev = [], []              # global endpoints of each sub edge
+    starts, owner = [], []       # first vertex of each sub / owning p index
+    off = nm + 3
+    for i, p in enumerate(ids):
+        net = asm.subs[p].net
+        starts.append(len(owner))
+        for j, r in enumerate(net.ids):
+            vert[(p, r)] = len(owner)
+            owner.append(i)
+            pos_at.append(off + 2 * j)
+        for k, (u, v) in enumerate(net.edges):
+            sub_edges.append((p, (u, v)))
+            eu.append(vert[(p, u)])
+            ev.append(vert[(p, v)])
+            w_at.append(off + 2 * net.n + k)
+        off += 2 * net.n + net.m
+    N = off
+    pos_at, w_at = np.array(pos_at, dtype=int), np.array(w_at, dtype=int)
+    eu, ev = np.array(eu, dtype=int), np.array(ev, dtype=int)
+    owner = np.array(owner, dtype=int)
+    n_sub_edges = len(eu)
+    # master edge (p, q): its endpoints and the anchors at either end
+    index = master.index()
+    mp = np.array([index[p] for p, q in edges], dtype=int)
+    mq = np.array([index[q] for p, q in edges], dtype=int)
+    ap = np.array([vert[(p, asm.subs[p].anchors[q])] for p, q in edges],
+                  dtype=int)
+    aq = np.array([vert[(q, asm.subs[q].anchors[p])] for p, q in edges],
+                  dtype=int)
+    # bonds (sub edges, then master edges) pull their first end toward
+    # their second end and the second end back
+    first = np.concatenate([eu, ap])
+    second = np.concatenate([ev, aq])
+    twice_m = 2 * np.array([m_map[ek] for ek in edges], dtype=float)
+    zv = np.array([master.vertices[v] for v in ids])
+    fvec = np.array([fv[key] for key in vert], dtype=complex)
+    sub_n = np.array([asm.subs[p].net.n for p in ids], dtype=float)
 
     def unpack(x):
         phi_perp = x[:2 * n - 1]
@@ -490,96 +514,69 @@ def solve_master(asm, kappa, ell, table, f=None, tol=1e-11, skip_verify=False,
         cdot, ddot = x[nm - 2], x[nm - 1]
         pv = pvec + Qp @ phi_perp + (ddot - (2 * ell - 1) * cdot / 2) * pvec
         av = avec + Qa @ w_perp - cdot * ell ** 2 * avec
-        phi = {v: complex(pv[2 * i], pv[2 * i + 1])
-               for i, v in enumerate(ids)}
-        aw = {e: av[k] for k, e in enumerate(edges)}
-        e_vec = complex(x[nm], x[nm + 1])
-        t = x[nm + 2]
-        spos = {}
-        sw = {}
-        for (p, off, np_, mp), (pos0, w0) in zip(layout, sub_ref):
-            seg = x[nm + 3 + off:nm + 3 + off + 2 * np_ + mp]
-            sub = asm.subs[p]
-            spos[p] = {r: complex(seg[2 * i], seg[2 * i + 1])
-                       for i, r in enumerate(sub.net.ids)}
-            sw[p] = {e: seg[2 * np_ + k]
-                     for k, e in enumerate(sub.net.edges)}
-        return phi, aw, e_vec, t, spos, sw
+        phi = pv[0::2] + 1j * pv[1::2]
+        spos = x[pos_at] + 1j * x[pos_at + 1]
+        return phi, av, complex(x[nm], x[nm + 1]), x[nm + 2], spos, x[w_at]
 
     def residual_groups(phi, aw, e_vec, t, spos, sw):
-        ra, rb, rcd, re_, rf = [], [], [], [], []
-        # (a) sub edge lengths
-        for p in ids:
-            sub = asm.subs[p]
-            for ek in sub.net.edges:
-                u, v = ek
-                L = abs(spos[p][v] - spos[p][u])
-                ra.append(L - (1.0 - table.alpha_ell(sw[p][ek], ell)))
-        # anchor points in master-local coordinates
-        anchor_pt = {}
-        for p in ids:
-            for q, r in asm.subs[p].anchors.items():
-                anchor_pt[(p, q)] = kappa * phi[p] + spos[p][r]
-        # (b) quantized lengths of master edges
-        for ek in edges:
-            p, q = ek
-            gap = anchor_pt[(q, p)] - anchor_pt[(p, q)]
-            rb.append(abs(gap) - 2 * m_map[ek]
-                      * (1.0 - table.alpha_ell(aw[ek], ell)))
+        weights = np.concatenate([sw, aw])
+        one_m_alpha = 1.0 - table.alpha_ell(weights, ell)
+        # bond vectors: sub edges, then master-edge anchor gaps
+        d = np.concatenate([spos[ev] - spos[eu],
+                            (kappa * phi[mq] + spos[aq])
+                            - (kappa * phi[mp] + spos[ap])])
+        length = np.abs(d)
+        # (a) sub edge lengths, (b) quantized lengths of master edges
+        ra = length[:n_sub_edges] - one_m_alpha[:n_sub_edges]
+        rb = length[n_sub_edges:] - twice_m * one_m_alpha[n_sub_edges:]
         # (c)/(d) force balance at every sub vertex
-        for p in ids:
-            sub = asm.subs[p]
-            F = {r: 0j for r in sub.net.ids}
-            for ek in sub.net.edges:
-                u, v = ek
-                d = spos[p][v] - spos[p][u]
-                F[u] += sw[p][ek] * d / abs(d)
-                F[v] -= sw[p][ek] * d / abs(d)
-            for q, r in sub.anchors.items():
-                gap = anchor_pt[(q, p)] - anchor_pt[(p, q)]
-                F[r] += aw[edge_key(p, q)] * gap / abs(gap)
-            np_ = sub.net.n
-            porig = master.vertices[p]
-            for r in sub.net.ids:
-                g = F[r] - fv[(p, r)] - (e_vec + 1j * t * porig) / np_
-                rcd.extend((g.real, g.imag))
+        pull = weights * d / length
+        F = np.zeros(len(owner), dtype=complex)
+        np.add.at(F, first, pull)
+        np.add.at(F, second, -pull)
+        g = F - fvec - (e_vec + 1j * t * zv[owner]) / sub_n[owner]
         # (e) sub barycenters
-        for p in ids:
-            bary = sum(spos[p].values())
-            re_.extend((bary.real, bary.imag))
+        bary = np.add.reduceat(spos, starts)
         # (f) master translation and rotation gauges
-        tr = sum(phi[v] - master.vertices[v] for v in ids)
-        rot = sum((master.vertices[v].conjugate()
-                   * (phi[v] - master.vertices[v])).imag for v in ids)
-        rf.extend((tr.real, tr.imag, rot))
-        return ra, rb, rcd, re_, rf
+        moved = phi - zv
+        tr = moved.sum()
+        rf = np.array([tr.real, tr.imag, (zv.conj() * moved).imag.sum()])
+        return ra, rb, g.view(float), bary.view(float), rf
 
     def fun(x):
-        phi, aw, e_vec, t, spos, sw = unpack(x)
-        ra, rb, rcd, re_, rf = residual_groups(phi, aw, e_vec, t, spos, sw)
-        rb_scaled = [v / kappa for v in rb]
-        return np.array(ra + rb_scaled + rcd + re_ + rf)
+        ra, rb, rcd, re_, rf = residual_groups(*unpack(x))
+        return np.concatenate([ra, rb / kappa, rcd, re_, rf])
 
     x0 = np.zeros(N)
     x0[nm - 1] = mu0 - 1.0       # seed the dilation at the quantized scale
-    for (p, off, np_, mp), (pos0, w0) in zip(layout, sub_ref):
-        x0[nm + 3 + off:nm + 3 + off + 2 * np_] = pos0
-        x0[nm + 3 + off + 2 * np_:nm + 3 + off + 2 * np_ + mp] = w0
-    x, info = damped_newton(fun, x0, tol=tol, scale=1.0, maxiter=200,
-                            max_step=0.25)
+    spos0 = np.array([asm.subs[p].net.vertices[r] for p, r in vert])
+    x0[pos_at] = spos0.real
+    x0[pos_at + 1] = spos0.imag
+    x0[w_at] = [asm.subs[p].net.weights[ek] for p, ek in sub_edges]
+    try:
+        x, info = damped_newton(fun, x0, tol=tol, scale=1.0, maxiter=200,
+                                max_step=0.25)
+    except ValueError as exc:    # a trial weight left the alpha_ell table
+        raise SolverError(f"master solve failed: {exc}") from exc
     if not info.converged:
         raise SolverError(f"master solve stalled: residual "
                           f"{info.residual:.3e} at equation "
                           f"{info.worst_equation}")
     phi, aw, e_vec, t, spos, sw = unpack(x)
-    ra, rb, rcd, re_, rf = residual_groups(phi, aw, e_vec, t, spos, sw)
-    res = {"a": max(map(abs, ra), default=0.0),
-           "b": max(map(abs, rb), default=0.0),
-           "cd": max(map(abs, rcd), default=0.0),
-           "e": max(map(abs, re_), default=0.0),
-           "f": max(map(abs, rf), default=0.0)}
-    return MasterSolveResult(asm, kappa, ell, m_map, phi, aw, spos, sw,
-                             e_vec, t, res, info, fv)
+    groups = residual_groups(phi, aw, e_vec, t, spos, sw)
+    res = {name: float(np.max(np.abs(vals), initial=0.0))
+           for name, vals in zip(("a", "b", "cd", "e", "f"), groups)}
+    sub_positions = {p: {} for p in ids}
+    for (p, r), z in zip(vert, spos.tolist()):
+        sub_positions[p][r] = z
+    sub_weights = {p: {} for p in ids}
+    for (p, ek), w in zip(sub_edges, sw.tolist()):
+        sub_weights[p][ek] = w
+    return MasterSolveResult(asm, kappa, ell, m_map,
+                             dict(zip(ids, phi.tolist())),
+                             dict(zip(edges, aw.tolist())),
+                             sub_positions, sub_weights, e_vec, float(t),
+                             res, info, fv)
 
 
 # --- point cloud -----------------------------------------------------------
@@ -629,16 +626,17 @@ def generate_cloud(result, table, eta=None):
             expected[len(points)] = (len(sub.net.neighbors(r))
                                      + anchored.get(r, 0))
             points.append(CloudPoint(z, eta[p][r], f"{kind}:{p}:{r}"))
-    lam_master = {}
-    lam_sub = {}
-    for p in asm.master.ids:
-        for ek, w in result.sub_weights[p].items():
-            lam_sub[(p, ek)] = ell * table.alpha_ell(w, ell)
+    sub_edges = [(p, ek) for p in asm.master.ids
+                 for ek in result.sub_weights[p]]
+    weights = ([result.sub_weights[p][ek] for p, ek in sub_edges]
+               + [result.master_weights[ek] for ek in asm.master.edges])
+    lams = (ell * table.alpha_ell(np.array(weights), ell)).tolist()
+    lam_sub = dict(zip(sub_edges, lams))
+    lam_master = dict(zip(asm.master.edges, lams[len(sub_edges):]))
     for ek in asm.master.edges:
         p, q = ek
         aw = result.master_weights[ek]
-        lam = ell * table.alpha_ell(aw, ell)
-        lam_master[ek] = lam
+        lam = lam_master[ek]
         ap = ell * (kappa * result.master_positions[p]
                     + result.sub_positions[p][asm.subs[p].anchors[q]])
         aq = ell * (kappa * result.master_positions[q]

@@ -146,12 +146,7 @@ def perturb_unbalanced_coupled(net, f, ell, table=None, tol=1e-11):
         return _pack_unbalanced(net, f, lambda w: np.zeros(len(w)), tol)
     if table is None:
         raise SolverError("finite ell needs an interaction table")
-    from .interaction import alpha_ell
-
-    def alpha_of(w):
-        return np.array([alpha_ell(table, wk, ell) for wk in w])
-
-    return _pack_unbalanced(net, f, alpha_of, tol)
+    return _pack_unbalanced(net, f, lambda w: table.alpha_ell(w, ell), tol)
 
 
 ZETA = cmath.exp(2j * math.pi / 3)

@@ -7,6 +7,7 @@ manifest itself records wall time and is the one exception).
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from .builders import assembly_catalog, assembly_names
 from .catalog import catalog, catalog_names
 from .fields import (FieldWindow, predicted_force, project_force,
                      residual_norms)
-from .interaction import load_or_build
+from .interaction import S_MAX, S_MIN, load_or_build
 from .linearize import certify
 from .network import NetworkError, load_network
 from .solvers import SolverError
@@ -80,6 +81,29 @@ def _add_catalog_flags(sp):
     sp.add_argument("--seed", type=int)
 
 
+def _number(text, ok, requirement):
+    """argparse type: a float that satisfies `ok`, else a usage error."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not ok(val):
+        raise argparse.ArgumentTypeError(f"must be {requirement}, "
+                                         f"got {text!r}")
+    return val
+
+
+def _ell(text):
+    # the interaction table spans [S_MIN, S_MAX]; NaN fails the comparison
+    return _number(text, lambda v: S_MIN <= v <= S_MAX,
+                   f"a number in [{S_MIN:g}, {S_MAX:g}]")
+
+
+def _kappa(text):
+    return _number(text, lambda v: 0 < v < math.inf,
+                   "a finite number > 0")
+
+
 def _catalog_params(args):
     return {f: getattr(args, f) for f in _PARAM_FLAGS
             if getattr(args, f, None) is not None}
@@ -100,8 +124,8 @@ def build_parser():
     g = sub.add_parser("configure", help="assembly -> point cloud CSV")
     g.add_argument("--assembly", help="assembly JSON file")
     _add_catalog_flags(g)
-    g.add_argument("--ell", type=float, default=10.0)
-    g.add_argument("--kappa", type=float, default=64.0)
+    g.add_argument("--ell", type=_ell, default=10.0)
+    g.add_argument("--kappa", type=_kappa, default=64.0)
     g.add_argument("--delta", type=float, default=0.05,
                    help="far-band margin: far means d >= (1+delta) ell")
     g.add_argument("--tol-newton", type=float, default=1e-11)
@@ -109,7 +133,7 @@ def build_parser():
 
     a = sub.add_parser("assemble", help="cloud CSV -> field diagnostics")
     a.add_argument("cloud", help="point cloud CSV")
-    a.add_argument("--ell", type=float, required=True)
+    a.add_argument("--ell", type=_ell, required=True)
     a.add_argument("--delta", type=float, default=-0.5,
                    help="weighted-norm exponent")
     a.add_argument("--windows", default="anchors",
@@ -270,9 +294,15 @@ def _select_windows(config, spec):
         return [i for i, pt in enumerate(config.points)
                 if pt.provenance.startswith("anchor:")]
     try:
-        return [int(s) for s in spec.split(",") if s.strip()]
+        sel = [int(s) for s in spec.split(",") if s.strip()]
     except ValueError:
         raise NetworkError(f"bad --windows value {spec!r}")
+    for i in sel:
+        if not 0 <= i < len(config.points):
+            raise NetworkError(f"--windows index {i} is not in "
+                               f"[0, {len(config.points)}), the cloud's "
+                               f"point indices")
+    return sel
 
 
 def _point_row(config, idx, table, delta):
@@ -300,7 +330,7 @@ def cmd_assemble(args):
         print(f"assemble: {exc}", file=sys.stderr)
         return EXIT_USAGE
     table = load_or_build()
-    ups = float(table.upsilon(args.ell)) if args.ell >= 2.0 else float("nan")
+    ups = float(table.upsilon(args.ell))
     rows = []
     first_window = None
     for idx in sel:

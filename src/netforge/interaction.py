@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 from scipy.special import k0, k1
 
 
@@ -157,10 +156,12 @@ class InteractionTable:
         self.ln_ups = np.asarray(ln_ups, dtype=float)
         self._u_spline = CubicSpline(self.r, self.u0)
         self._du_spline = CubicSpline(self.r, self.du0)
-        self._ls = CubicSpline(self.s, self.ln_ups)
-        self._lsd = self._ls.derivative()
         if np.any(np.diff(self.ln_ups) >= 0):
             raise RuntimeError("interaction strength is not decreasing")
+        self._ls = CubicSpline(self.s, self.ln_ups)
+        self._lsd = self._ls.derivative()
+        # first guess for the inverse of _ls, polished by Newton in alpha_ell
+        self._ls_inv = CubicSpline(self.ln_ups[::-1], self.s[::-1])
 
     # --- profile -------------------------------------------------------
 
@@ -199,20 +200,35 @@ class InteractionTable:
         return np.exp(self._ls(s)) * self._lsd(s)
 
     def alpha_ell(self, a, ell):
-        """alpha with |a| * Upsilon(ell) = Upsilon(ell (1 - alpha))."""
-        target = math.log(abs(a)) + float(self._ls(ell))
-        lo, hi = self.s[0], self.s[-1]
-        if not self.ln_ups[-1] <= target <= self.ln_ups[0]:
+        """alpha with |a| * Upsilon(ell) = Upsilon(ell (1 - alpha)).
+
+        `a` and `ell` broadcast; a scalar result is a float. The root
+        t = ell (1 - alpha) of _ls(t) = ln|a| + _ls(ell) starts from the
+        inverse spline, offset so that |a| = 1 gives t = ell exactly, and
+        takes three Newton steps on the forward spline. Raises ValueError
+        when any ln|a| + _ls(ell) is NaN or outside the tabulated range."""
+        a = np.asarray(a, dtype=float)
+        ls_ell = self._ls(ell)
+        with np.errstate(divide="ignore"):     # a = 0 fails the range test
+            target = np.log(np.abs(a)) + ls_ell
+        bad = ~((target >= self.ln_ups[-1]) & (target <= self.ln_ups[0]))
+        if np.any(bad):
             raise ValueError(f"alpha_ell target out of tabulated range "
-                             f"(a={a}, ell={ell})")
-        t = brentq(lambda x: float(self._ls(x)) - target, lo, hi,
-                   xtol=1e-13, rtol=8.9e-16)
-        return 1.0 - t / ell
+                             f"(a={np.broadcast_to(a, bad.shape)[bad][0]}, "
+                             f"ell={ell})")
+        t = ell + (self._ls_inv(target) - self._ls_inv(ls_ell))
+        for _ in range(3):
+            t = t - (self._ls(t) - target) / self._lsd(t)
+        out = 1.0 - t / ell
+        return out if out.ndim else float(out)
 
     def dalpha_da(self, a, ell):
+        """Derivative of alpha_ell in a; scalar or array `a` as there."""
+        a = np.asarray(a, dtype=float)
         t = ell * (1.0 - self.alpha_ell(a, ell))
-        return -math.copysign(1.0, a) * float(self.upsilon(ell)) / (
-            ell * float(self.upsilon_prime(t)))
+        out = -np.copysign(1.0, a) * self.upsilon(ell) / (
+            ell * self.upsilon_prime(t))
+        return out if out.ndim else float(out)
 
     # --- persistence ----------------------------------------------------
 
@@ -294,13 +310,3 @@ def load_or_build(nl=CUBIC, directory=None):
     os.makedirs(os.path.dirname(path), exist_ok=True)
     table.save(path)
     return table
-
-
-# module-level conveniences used by the perturbation solvers
-
-def alpha_ell(table, a, ell):
-    return table.alpha_ell(a, ell)
-
-
-def dalpha_da(table, a, ell):
-    return table.dalpha_da(a, ell)

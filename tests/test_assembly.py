@@ -66,6 +66,58 @@ def test_coordinate_quantization_example(table):
     assert mu == pytest.approx(1.7285, abs=1e-3)
 
 
+def _reference_quantization(asm, kappa, ell, table, mu_max=2.5):
+    """coordinate_quantization as a scalar loop over mu and the edges."""
+    master = asm.master
+    rows = []
+    for ek in master.edges:
+        p, q = ek
+        d = master.vertices[q] - master.vertices[p]
+        r = abs(d)
+        u = d / r
+        rp = asm.subs[p].net.vertices[asm.subs[p].anchors[q]]
+        rq = asm.subs[q].net.vertices[asm.subs[q].anchors[p]]
+        allowance = ((rq - rp) * u.conjugate()).real
+        alpha = table.alpha_ell(master.weights[ek], ell)
+        rows.append((ek, r, allowance, 1.0 - alpha))
+    best = None
+    for mu in np.linspace(1.0, mu_max, 3001):
+        defect = 0.0
+        mm = {}
+        for ek, r, allowance, one_m_alpha in rows:
+            g = mu * kappa * r + allowance
+            m = max(1, round(g / (2.0 * one_m_alpha)))
+            mm[ek] = m
+            defect = max(defect, abs(2 * m * one_m_alpha - g))
+        if best is None or defect < best[0] - 1e-12:
+            best = (defect, mu, mm)
+    return best[2], best[1]
+
+
+@pytest.mark.parametrize("k, kappa", [(k, kappa) for k in (7, 8, 9, None)
+                                      for kappa in (48.0, 64.0)])
+def test_coordinate_quantization_matches_loop(table, k, kappa):
+    # k None: the perturbed n_c assembly
+    asm = (n_c_assembly(perturbation=0.01, seed=2) if k is None
+           else example_5_1(k))
+    mm, mu = coordinate_quantization(asm, kappa, 10.0, table)
+    ref_mm, ref_mu = _reference_quantization(asm, kappa, 10.0, table)
+    assert mm == ref_mm and mu == ref_mu
+    assert all(type(m) is int for m in mm.values())
+
+
+def test_coordinate_quantization_keeps_first_clear_improvement(table):
+    # One unit edge at weight 1 (alpha = 0, no anchor allowance): the
+    # defect 2 - mu*kappa falls by ~1.5e-13 per mu step, so a new best is
+    # taken only every 7th step and the scan stops short of the last mu,
+    # where a plain argmin would land.
+    master = Network({"p": 0j, "q": 1 + 0j}, {("p", "q"): 1.0})
+    asm = Assembly(master, {p: singleton_at(master, p) for p in "pq"})
+    mm, mu = coordinate_quantization(asm, 3e-10, 10.0, table)
+    assert (mm, mu) == _reference_quantization(asm, 3e-10, 10.0, table)
+    assert mm == {("p", "q"): 1} and mu < 2.5
+
+
 def test_solve_master_nc(table):
     asm = n_c_assembly()
     res = solve_master(asm, 64.0, 10.0, table)
@@ -80,6 +132,13 @@ def test_solve_master_rejects_failing_assembly(table):
     from netforge.builders import n_v_assembly
     with pytest.raises(SolverError):
         solve_master(n_v_assembly(), 64.0, 10.0, table)
+
+
+def test_solve_master_reports_weights_leaving_the_table(table):
+    # at the table's shortest length a trial weight just above 1 in
+    # magnitude has no alpha_ell; the solve fails instead of crashing
+    with pytest.raises(SolverError, match="tabulated range"):
+        solve_master(example_5_1(7), 64.0, 2.0, table)
 
 
 def _cloud_51(table):

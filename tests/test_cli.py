@@ -160,3 +160,31 @@ def test_manifest_contents(tmp_path, cache_env):
     assert man["outputs"] == [str(svg)]
     assert man["wall_time"] >= 0
     assert "version" in man
+
+
+BAD_INPUTS = [
+    *[(cmd, ["--ell", ell]) for cmd in ("configure", "assemble")
+      for ell in ("1", "nan", "200")],
+    *[("configure", ["--kappa", kappa]) for kappa in ("0", "-3", "nan")],
+    *[("assemble", ["--windows", w]) for w in ("99999", "-1")],
+]
+
+
+@pytest.mark.parametrize("command, flags", BAD_INPUTS,
+                         ids=[f"{c}{''.join(f)}" for c, f in BAD_INPUTS])
+def test_bad_input_exits_64(tmp_path, cache_env, command, flags):
+    if command == "configure":
+        args = ["configure", "--catalog", "example_5_1", "--k", "7",
+                "--out", str(tmp_path / "cloud.csv")]
+    else:
+        cloud = tmp_path / "one.csv"
+        cloud.write_text("x,y,sign,provenance\n0,0,1,anchor:a:o\n")
+        args = ["assemble", str(cloud), "--out", str(tmp_path / "d.json")]
+        if "--ell" not in flags:
+            args += ["--ell", "10"]
+    r = run_cli(args + flags, tmp_path, cache_env)
+    assert r.returncode == 64, r.stderr
+    assert "Traceback" not in r.stderr
+    assert flags[0] in r.stderr
+    assert not (tmp_path / "cloud.csv").exists()
+    assert not (tmp_path / "d.json").exists()

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import k0
 
-from netforge.interaction import (CUBIC, InteractionTable, Nonlinearity,
-                                  table_cache_path, upsilon_direct)
+from netforge.interaction import (CUBIC, S_MAX, S_MIN, InteractionTable,
+                                  Nonlinearity, table_cache_path,
+                                  upsilon_direct)
 
 # frozen reference values for the cubic nonlinearity
 U0_AT_ZERO = 2.206200864681313
@@ -123,6 +127,61 @@ def test_dalpha_da_matches_fd(table):
     fd = (table.alpha_ell(a + 1e-6, ell)
           - table.alpha_ell(a - 1e-6, ell)) / 2e-6
     assert table.dalpha_da(a, ell) == pytest.approx(fd, rel=1e-6)
+
+
+def _alpha_brentq(table, a, ell):
+    """Reference alpha_ell: a scalar root of ln Upsilon(t) = ln|a| +
+    ln Upsilon(ell) bracketed over the whole table."""
+    target = math.log(abs(a)) + math.log(float(table.upsilon(ell)))
+    t = brentq(lambda x: math.log(float(table.upsilon(x))) - target,
+               table.s[0], table.s[-1], xtol=1e-13, rtol=8.9e-16)
+    return 1.0 - t / ell
+
+
+# root lengths t kept a hair inside the table, so |a| rounds into range
+LENGTHS = st.floats(S_MIN + 1e-6, S_MAX - 1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ell=st.floats(S_MIN, S_MAX),
+       roots=st.lists(st.tuples(LENGTHS, st.sampled_from((-1.0, 1.0))),
+                      min_size=1, max_size=12))
+def test_alpha_ell_array_matches_brentq(table, ell, roots):
+    a = np.array([sign * float(table.upsilon(t) / table.upsilon(ell))
+                  for t, sign in roots])
+    got = table.alpha_ell(a, ell)
+    assert isinstance(got, np.ndarray) and got.shape == a.shape
+    ref = np.array([_alpha_brentq(table, ak, ell) for ak in a])
+    assert np.max(np.abs(got - ref)) < 1e-13
+    assert table.alpha_ell(a.reshape(-1, 1), ell).shape == (len(a), 1)
+    scalar = table.alpha_ell(float(a[0]), ell)
+    assert isinstance(scalar, float) and scalar == got[0]
+    assert table.alpha_ell(1.0, ell) == 0.0
+    assert table.alpha_ell(-1.0, ell) == 0.0
+
+
+def test_alpha_ell_of_unit_weight_is_exactly_zero(table):
+    # ell may be an array too; 20k lengths catch a root off by one ulp
+    ells = np.random.default_rng(1).uniform(S_MIN, S_MAX, 20000)
+    assert np.all(table.alpha_ell(np.ones_like(ells), ells) == 0.0)
+    assert np.all(table.alpha_ell(-np.ones_like(ells), ells) == 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1e30, 1e-60, 0.0])
+def test_alpha_ell_rejects_any_bad_element(table, bad):
+    with pytest.raises(ValueError):
+        table.alpha_ell(np.array([1.0, bad, 0.5]), 10.0)
+    with pytest.raises(ValueError):
+        table.alpha_ell(bad, 10.0)
+
+
+def test_dalpha_da_array_matches_scalar(table):
+    a = np.array([[0.4, -1.3], [2.0, 1.0]])
+    got = table.dalpha_da(a, 10.0)
+    assert got.shape == a.shape
+    for idx in np.ndindex(a.shape):
+        assert got[idx] == table.dalpha_da(float(a[idx]), 10.0)
+    assert isinstance(table.dalpha_da(1.3, 10.0), float)
 
 
 def test_save_load_roundtrip(table, tmp_path):
