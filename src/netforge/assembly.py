@@ -7,9 +7,11 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import null_space
+from scipy.spatial import cKDTree
 
 from .geometry import Piece, pieces_conflict
 from .network import (Network, NetworkError, edge_key, forces,
@@ -588,6 +590,48 @@ class CloudPoint:
     provenance: str
 
 
+class CloudIndex:
+    """Positions and signs of a cloud's points as arrays, and a KD-tree
+    over the (x, y) of its finite points.
+
+    Queries return candidates: every point the radius reaches and perhaps
+    a few just beyond it, in ascending index order. Callers re-apply their
+    own distance test to them, so results do not depend on how the tree
+    rounds distances. Points at non-finite positions pass no distance
+    test and are left out of the tree."""
+
+    def __init__(self, points):
+        self.positions = np.array([pt.z for pt in points], dtype=complex)
+        self.signs = np.array([pt.sign for pt in points], dtype=int)
+        self.positions.flags.writeable = False
+        self.signs.flags.writeable = False
+        finite = np.isfinite(self.positions)
+        self._ids = np.flatnonzero(finite)
+        xy = np.column_stack([self.positions.real[finite],
+                              self.positions.imag[finite]])
+        self.tree = cKDTree(xy)
+        # radius slack: many times the rounding of a distance computed
+        # from these coordinates
+        self._slack = 1e-9 * (1.0 + float(np.max(np.abs(xy), initial=0.0)))
+
+    def near(self, center, r):
+        """Candidate indices of the points within r of the complex
+        center."""
+        c = complex(center)
+        if not cmath.isfinite(c):
+            return []
+        hits = self.tree.query_ball_point((c.real, c.imag), r + self._slack,
+                                          return_sorted=True)
+        return self._ids[hits].tolist()
+
+    def pairs(self, r):
+        """Candidate index pairs (i < j) at distance <= r, as a (k, 2)
+        array in lexicographic order."""
+        ij = self._ids[self.tree.query_pairs(r + self._slack,
+                                             output_type="ndarray")]
+        return ij[np.lexsort((ij[:, 1], ij[:, 0]))]
+
+
 @dataclass
 class Configuration:
     points: list
@@ -598,11 +642,11 @@ class Configuration:
     lambda_sub: dict = field(default_factory=dict)
     expected_degree: dict = field(default_factory=dict)  # index -> int
 
-    def positions(self):
-        return np.array([pt.z for pt in self.points])
-
-    def signs(self):
-        return np.array([pt.sign for pt in self.points])
+    @cached_property
+    def index(self):
+        """The CloudIndex of `points`, built on first use and kept: a
+        configuration's points do not change once it is queried."""
+        return CloudIndex(self.points)
 
 
 def generate_cloud(result, table, eta=None):
@@ -703,20 +747,21 @@ def neighbor_graph(config, C=None, delta=0.05):
         lams = [abs(l) for l in list(config.lambda_master.values())
                 + list(config.lambda_sub.values())]
         C = max(lams) + 0.1 if lams else 0.5
-    z = config.positions()
-    npts = len(z)
+    z = config.index.positions
     ell = config.ell
-    neighbors = [[] for _ in range(npts)]
-    violations = []
-    for i in range(npts):
-        d = np.abs(z[i + 1:] - z[i])
-        near = np.abs(d - ell) <= C
-        bad = ~near & (d < (1.0 + delta) * ell)
-        for k in np.nonzero(near)[0]:
-            neighbors[i].append(i + 1 + int(k))
-            neighbors[i + 1 + int(k)].append(i)
-        for k in np.nonzero(bad)[0]:
-            violations.append((i, i + 1 + int(k), float(d[k])))
+    far = (1.0 + delta) * ell
+    # every near or in-between pair is within the larger band edge; fmax
+    # skips a NaN edge, which no distance can pass
+    i, j = config.index.pairs(float(np.fmax(far, ell + C))).T
+    d = np.abs(z[j] - z[i])
+    near = np.abs(d - ell) <= C
+    bad = ~near & (d < far)
+    neighbors = [[] for _ in range(len(z))]
+    for a, b in zip(i[near].tolist(), j[near].tolist()):
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    violations = list(zip(i[bad].tolist(), j[bad].tolist(),
+                          d[bad].tolist()))
     mismatches = []
     for i, expect in (config.expected_degree or {}).items():
         got = len(neighbors[i])

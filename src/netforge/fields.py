@@ -46,8 +46,10 @@ class FieldWindow:
 def _window_points(config, window):
     """(position, sign) pairs close enough to matter on the window."""
     reach = window.half_width + CUTOFF
+    pts = config.points
     out = []
-    for pt in config.points:
+    for k in config.index.near(window.center, reach):
+        pt = pts[k]
         if abs(pt.z - window.center) <= reach:
             out.append((pt.z, pt.sign))
     return out
@@ -176,9 +178,10 @@ def predicted_force(config, z_index, table, band=0.5):
     eta = pts[z_index].sign
     ell = config.ell
     out = 0j
-    for k, pt in enumerate(pts):
+    for k in config.index.near(z, ell + band):
         if k == z_index:
             continue
+        pt = pts[k]
         d = abs(pt.z - z)
         if abs(d - ell) <= band:
             out += eta * pt.sign * float(table.upsilon(d)) * (pt.z - z) / d

@@ -166,17 +166,21 @@ class InteractionTable:
     # --- profile -------------------------------------------------------
 
     def u0_at(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.where(r <= self.r[-1],
-                       self._u_spline(np.minimum(r, self.r[-1])),
-                       self.A * k0(np.maximum(r, 1.0)))
-        return out if out.ndim else float(out)
+        return self._radial(r, self._u_spline, lambda x: self.A * k0(x))
 
     def du0_at(self, r):
+        return self._radial(r, self._du_spline, lambda x: -self.A * k1(x))
+
+    def _radial(self, r, spline, tail):
+        """The spline on the grid, the Bessel tail beyond it. Only the
+        spline runs when every r is on the grid."""
         r = np.asarray(r, dtype=float)
-        out = np.where(r <= self.r[-1],
-                       self._du_spline(np.minimum(r, self.r[-1])),
-                       -self.A * k1(np.maximum(r, 1.0)))
+        rmax = self.r[-1]
+        if np.all(r <= rmax):
+            out = spline(r)
+        else:
+            out = np.where(r <= rmax, spline(np.minimum(r, rmax)),
+                           tail(np.maximum(r, 1.0)))
         return out if out.ndim else float(out)
 
     def tail_constant(self):

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netforge.assembly import (Assembly, CloudPoint, Configuration,
                                SubNetwork, chain_correct, chain_matrix,
@@ -218,6 +220,97 @@ def test_neighbor_graph_flags_degree_mismatch():
     cfg = Configuration(pts, 10.0, expected_degree={0: 2, 1: 1})
     nb = neighbor_graph(cfg, C=0.5)
     assert nb.degree_mismatches == [(0, 2, 1)]
+
+
+def test_neighbor_graph_near_band_past_far_band():
+    # C = 1 > delta ell = 0.5: a pair at 10.8 is near although it lies
+    # beyond the far edge 10.5, so the search must reach ell + C
+    pts = [CloudPoint(0j, 1, "a"), CloudPoint(10.8 + 0j, 1, "b"),
+           CloudPoint(30 + 0j, 1, "c"), CloudPoint(30 + 10.2j, 1, "d")]
+    nb = neighbor_graph(Configuration(pts, 10.0), C=1.0, delta=0.05)
+    assert nb.neighbors == [[1], [0], [3], [2]]
+    assert nb.violations == []
+
+
+def test_neighbor_graph_keeps_pair_on_band_edge():
+    # |z| is exactly ell + C = 10, but the KD-tree's squared distance
+    # rounds above 100: only the slack on its radius keeps the pair
+    z = complex(3.07112432354196, 9.51673239034013)
+    cfg = Configuration([CloudPoint(0j, 1, "a"), CloudPoint(z, 1, "b")], 9.5)
+    nb = neighbor_graph(cfg, C=0.5, delta=0.0)
+    assert nb.neighbors == [[1], [0]]
+
+
+def _neighbor_graph_loop(config, C, delta):
+    """Reference: the O(N^2) scan that tests every pair, as neighbor_graph
+    did before the KD-tree. Returns (neighbors, violations, mismatches)."""
+    z = np.array([pt.z for pt in config.points], dtype=complex)
+    npts = len(z)
+    ell = config.ell
+    neighbors = [[] for _ in range(npts)]
+    violations = []
+    for i in range(npts):
+        d = np.abs(z[i + 1:] - z[i])
+        near = np.abs(d - ell) <= C
+        bad = ~near & (d < (1.0 + delta) * ell)
+        for k in np.nonzero(near)[0]:
+            neighbors[i].append(i + 1 + int(k))
+            neighbors[i + 1 + int(k)].append(i)
+        for k in np.nonzero(bad)[0]:
+            violations.append((i, i + 1 + int(k), float(d[k])))
+    mismatches = [(i, expect, len(neighbors[i]))
+                  for i, expect in config.expected_degree.items()
+                  if len(neighbors[i]) != expect]
+    return [sorted(nb) for nb in neighbors], violations, mismatches
+
+
+@st.composite
+def planted_clouds(draw):
+    """(config, C, delta): random points plus pairs planted on the band
+    edges d = ell - C, ell + C and (1 + delta) ell, with C up to ell / 2
+    so the near band often reaches past the far one, far from the origin
+    as the clouds of large kappa are."""
+    ell = draw(st.floats(2.0, 20.0))
+    delta = draw(st.floats(0.0, 0.3))
+    C = draw(st.floats(0.01, 0.5)) * ell
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    origin = complex(*rng.uniform(-1e5, 1e5, 2))
+    n = draw(st.integers(0, 30))
+    zs = list(origin + rng.uniform(0, 4 * ell, n)
+              + 1j * rng.uniform(0, 4 * ell, n))
+    edges = (ell - C, ell + C, (1.0 + delta) * ell)
+    for _ in range(draw(st.integers(0, 12))):
+        d = draw(st.sampled_from(edges)) * (1.0 + draw(
+            st.sampled_from((-1e-15, 0.0, 1e-15))))
+        base = zs[int(rng.integers(len(zs)))] if zs else origin
+        zs.append(base + d * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    pts = [CloudPoint(complex(z), 1, f"p{i}") for i, z in enumerate(zs)]
+    expected = {i: int(rng.integers(0, 4))
+                for i in range(len(zs)) if rng.random() < 0.5}
+    return Configuration(pts, ell, expected_degree=expected), C, delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_clouds())
+def test_neighbor_graph_matches_all_pairs_loop(cloud):
+    config, C, delta = cloud
+    nb = neighbor_graph(config, C=C, delta=delta)
+    neighbors, violations, mismatches = _neighbor_graph_loop(config, C, delta)
+    assert nb.neighbors == neighbors
+    assert nb.violations == violations
+    assert all(type(d) is float for _, _, d in nb.violations)
+    assert nb.degree_mismatches == mismatches
+
+
+def test_neighbor_graph_skips_non_finite_points():
+    # a NaN or infinite position passes no band test, as in the loop
+    zs = [0j, 10 + 0j, complex("nan"), 20 + 0j, complex("inf"), 10.2 + 0.1j]
+    pts = [CloudPoint(z, 1, f"p{i}") for i, z in enumerate(zs)]
+    config = Configuration(pts, 10.0, expected_degree={2: 0, 4: 1})
+    nb = neighbor_graph(config, C=0.5, delta=0.05)
+    assert (nb.neighbors, nb.violations, nb.degree_mismatches) == \
+        _neighbor_graph_loop(config, 0.5, 0.05)
+    assert nb.degree_mismatches == [(4, 1, 0)]
 
 
 def test_chain_matrix_inverse_closed_form():

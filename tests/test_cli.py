@@ -68,6 +68,19 @@ def test_configure_failing_assembly_exits_3(tmp_path, cache_env):
     assert "vi_ray_separation" in r.stderr
 
 
+def test_configure_at_shortest_length_exits_1(tmp_path, cache_env):
+    # --ell 2 is accepted (it is the table's shortest length), but no
+    # weight of magnitude above 1 has a length correction there, so the
+    # master solve fails: exit 1 with a message, not a traceback
+    cloud = tmp_path / "cloud.csv"
+    r = run_cli(["configure", "--catalog", "example_5_1", "--k", "7",
+                 "--ell", "2", "--out", str(cloud)], tmp_path, cache_env)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("configure: ")
+    assert "Traceback" not in r.stderr
+    assert not cloud.exists()
+
+
 def test_configure_assemble_plot_pipeline(tmp_path, cache_env):
     cloud = tmp_path / "cloud.csv"
     r = run_cli(["configure", "--catalog", "n_c", "--ell", "10",

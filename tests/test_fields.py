@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from netforge.assembly import CloudPoint, Configuration, diagnostic_chain_cloud
-from netforge.fields import (FieldWindow, cutoff_profile, evaluate_field,
-                             load_field, pohozaev_defect, predicted_force,
-                             project_force, refine, residual, residual_norms,
-                             save_field)
+from netforge.assembly import (CloudPoint, Configuration,
+                               diagnostic_chain_cloud, generate_cloud,
+                               solve_master)
+from netforge.builders import n_c_assembly
+from netforge.fields import (CUTOFF, FieldWindow, _window_points,
+                             cutoff_profile, evaluate_field, load_field,
+                             pohozaev_defect, predicted_force, project_force,
+                             refine, residual, residual_norms, save_field)
 
 
 def two_point_config(ell, signs=(1, 1)):
@@ -110,6 +113,91 @@ def test_predicted_force(table):
     # end anchor: one neighbor at spacing ell (a=1, so lambda=0)
     end = predicted_force(cfg, 0, table)
     assert end == pytest.approx(float(table.upsilon(10.0)) + 0j, rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def nc_cloud(table):
+    res = solve_master(n_c_assembly(), 64.0, 10.0, table)
+    return generate_cloud(res, table)
+
+
+def _window_points_loop(config, window):
+    """Reference: the linear scan over every point."""
+    reach = window.half_width + CUTOFF
+    return [(pt.z, pt.sign) for pt in config.points
+            if abs(pt.z - window.center) <= reach]
+
+
+def _predicted_force_loop(config, z_index, table, band=0.5):
+    """Reference: the loop over every point."""
+    pts = config.points
+    z = pts[z_index].z
+    eta = pts[z_index].sign
+    ell = config.ell
+    out = 0j
+    for k, pt in enumerate(pts):
+        if k == z_index:
+            continue
+        d = abs(pt.z - z)
+        if abs(d - ell) <= band:
+            out += eta * pt.sign * float(table.upsilon(d)) * (pt.z - z) / d
+    return out
+
+
+def test_window_points_match_linear_scan(table, nc_cloud):
+    zs = [pt.z for pt in nc_cloud.points]
+    hw = nc_cloud.ell / 4.0 + 2.0
+    lo = complex(min(z.real for z in zs), min(z.imag for z in zs))
+    centers = (zs[::37]                                       # on points
+               + [(a + b) / 2 for a, b in zip(zs[::41], zs[1::41])]
+               + [zs[5] + hw + CUTOFF, zs[9] - 1j * (hw + CUTOFF)]
+               + [lo - 50 - 50j, lo - (hw + CUTOFF) + 1j])   # off the cloud
+    total = 0
+    for c in centers:
+        window = FieldWindow(c, hw)
+        got = _window_points(nc_cloud, window)
+        assert got == _window_points_loop(nc_cloud, window)
+        total += len(got)
+    assert total > len(centers)          # the windows are not all empty
+    assert _window_points(nc_cloud, FieldWindow(lo - 50 - 50j, hw)) == []
+
+
+def test_scans_keep_points_on_reach_edge(table):
+    # each |z| is exactly the reach, but the KD-tree's squared distance
+    # rounds above its square: only the slack on the radius keeps z
+    z = complex(16.010506077224743, 36.65601853926787)   # 10 + CUTOFF
+    cfg = Configuration([CloudPoint(0j, 1, "a"), CloudPoint(z, -1, "b")],
+                        10.0)
+    assert _window_points(cfg, FieldWindow(0j, 10.0)) == [(0j, 1), (z, -1)]
+    z = complex(0.720732799534178, 10.475234805562863)   # ell + band
+    cfg = Configuration([CloudPoint(0j, 1, "a"), CloudPoint(z, 1, "b")],
+                        10.0)
+    pred = predicted_force(cfg, 0, table)
+    assert pred != 0 and pred == _predicted_force_loop(cfg, 0, table)
+
+
+def test_scans_skip_non_finite_points(table):
+    zs = [0j, complex("nan"), 10 + 0j, complex("inf")]
+    cfg = Configuration([CloudPoint(z, 1, f"p{i}") for i, z in enumerate(zs)],
+                        10.0)
+    for i, z in enumerate(zs):
+        window = FieldWindow(z, 4.5)
+        assert _window_points(cfg, window) == \
+            _window_points_loop(cfg, window)
+        assert predicted_force(cfg, i, table) == \
+            _predicted_force_loop(cfg, i, table)
+
+
+def test_predicted_force_matches_loop_exactly(table, nc_cloud):
+    chain = diagnostic_chain_cloud(table, 10.0, 3)
+    for i in range(len(chain.points)):
+        assert predicted_force(chain, i, table) == \
+            _predicted_force_loop(chain, i, table)
+    anchors = [i for i, pt in enumerate(nc_cloud.points)
+               if pt.provenance.startswith("anchor:")]
+    for i in anchors + list(range(0, len(nc_cloud.points), 29)):
+        assert predicted_force(nc_cloud, i, table) == \
+            _predicted_force_loop(nc_cloud, i, table)
 
 
 def test_pohozaev_defect(table):

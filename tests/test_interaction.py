@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.special import k0
+from scipy.special import k0, k1
 
 from netforge.interaction import (CUBIC, S_MAX, S_MIN, InteractionTable,
                                   Nonlinearity, table_cache_path,
@@ -62,6 +62,43 @@ def test_bessel_tail(table):
     r = np.linspace(13.0, 30.0, 35)
     ratio = table.u0_at(r) / (table.A * k0(r))
     assert np.max(np.abs(ratio - 1.0)) < 1e-8
+
+
+def _profile_where(table, r, spline, tail):
+    """Reference: both branches evaluated, then picked by np.where."""
+    r = np.asarray(r, dtype=float)
+    return np.where(r <= table.r[-1], spline(np.minimum(r, table.r[-1])),
+                    tail(np.maximum(r, 1.0)))
+
+
+@pytest.mark.parametrize("r", [
+    np.linspace(0.0, 50.0, 1001),                  # inside, up to r[-1]
+    np.linspace(30.0, 70.0, 999).reshape(37, 27),  # straddling r[-1]
+    np.array([49.9, np.nan, 50.0, 50.0 + 1e-12]),
+    np.linspace(50.5, 90.0, 77),                   # beyond r[-1]
+    np.array([]),
+], ids=["inside", "straddling", "edge-nan", "beyond", "empty"])
+def test_profile_matches_both_branch_formula(table, r):
+    assert table.r[-1] == 50.0
+    u = table.u0_at(r)
+    du = table.du0_at(r)
+    ref_u = _profile_where(table, r, table._u_spline,
+                           lambda x: table.A * k0(x))
+    ref_du = _profile_where(table, r, table._du_spline,
+                            lambda x: -table.A * k1(x))
+    assert u.shape == du.shape == r.shape
+    assert np.array_equal(u, ref_u, equal_nan=True)
+    assert np.array_equal(du, ref_du, equal_nan=True)
+
+
+@pytest.mark.parametrize("r", [0.0, 7.5, 50.0, 62.0])
+def test_profile_of_scalar_is_float(table, r):
+    for got, spline, tail in (
+            (table.u0_at(r), table._u_spline, lambda x: table.A * k0(x)),
+            (table.du0_at(r), table._du_spline,
+             lambda x: -table.A * k1(x))):
+        assert type(got) is float
+        assert got == float(_profile_where(table, r, spline, tail))
 
 
 def test_tail_constant_and_variation(table):
