@@ -14,7 +14,8 @@ from scipy.linalg import null_space
 from scipy.spatial import cKDTree
 
 from .geometry import Piece, pieces_conflict
-from .network import (Network, NetworkError, edge_key, forces,
+from .linearize import augmented_df_a
+from .network import (Network, NetworkError, bond_forces, edge_key, forces,
                       network_from_obj, network_to_obj)
 from .solvers import NewtonInfo, SolverError, damped_newton
 
@@ -329,39 +330,14 @@ def verify_assembly(asm):
 
 # --- quantization ---------------------------------------------------------
 
-def quantize(asm, kappa, ell, table):
-    """Per master edge, the integer m with 2m the smallest even integer at
-    or above kappa |q-p| / (1 - alpha_ell(a))."""
-    out = {}
-    for (p, q) in asm.master.edges:
-        r = abs(asm.master.vertices[q] - asm.master.vertices[p])
-        a = asm.master.weights[(p, q)]
-        x = kappa * r / (1.0 - table.alpha_ell(a, ell))
-        out[(p, q)] = max(1, math.ceil(x / 2.0))
-    return out
-
-
 def _estimate_weights(asm, f_total):
     """First-order master weights realizing the vertex forces f_total
     (modulo a shift e and rotation rate t) at the unmoved positions.
     Used to quantize against the weights the solve will actually find."""
-    from .linearize import build_differentials
     master = asm.master
-    sysm = build_differentials(master)
-    n, m = master.n, master.m
-    M = np.zeros((2 * n, m + 3))
-    M[:, :m] = sysm.df_a
-    rhs = np.zeros(2 * n)
-    for i, v in enumerate(master.ids):
-        M[2 * i, m] = 1.0
-        M[2 * i + 1, m + 1] = 1.0
-        z = master.vertices[v]
-        M[2 * i, m + 2] = -z.imag
-        M[2 * i + 1, m + 2] = z.real
-        g = f_total.get(v, 0j)
-        rhs[2 * i] = g.real
-        rhs[2 * i + 1] = g.imag
-    sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    g = np.array([f_total.get(v, 0j) for v in master.ids], dtype=complex)
+    sol, *_ = np.linalg.lstsq(augmented_df_a(master), g.view(float),
+                              rcond=None)
     return {e: master.weights[e] + sol[k]
             for k, e in enumerate(master.edges)}
 
@@ -532,10 +508,7 @@ def solve_master(asm, kappa, ell, table, f=None, tol=1e-11, skip_verify=False,
         ra = length[:n_sub_edges] - one_m_alpha[:n_sub_edges]
         rb = length[n_sub_edges:] - twice_m * one_m_alpha[n_sub_edges:]
         # (c)/(d) force balance at every sub vertex
-        pull = weights * d / length
-        F = np.zeros(len(owner), dtype=complex)
-        np.add.at(F, first, pull)
-        np.add.at(F, second, -pull)
+        F = bond_forces(len(owner), first, second, d, weights)
         g = F - fvec - (e_vec + 1j * t * zv[owner]) / sub_n[owner]
         # (e) sub barycenters
         bary = np.add.reduceat(spos, starts)

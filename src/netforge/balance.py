@@ -7,10 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import triangle
-from .linearize import build_differentials, certify
-from .network import Network, forces, total_weight
-from .solvers import NewtonInfo, SolverError, damped_newton
+from .linearize import augmented_df_a, certify
+from .network import bond_forces, total_weight
+from .solvers import SolverError, damped_newton
 
 
 @dataclass
@@ -23,10 +22,12 @@ class PerturbationResult:
     iterations: int
 
 
-def _force_defect(net, phi, weights, e, t):
-    moved = net.with_positions(phi).with_weights(weights)
-    F = forces(moved)
-    return max(abs(F[v] + e + 1j * t * phi[v]) for v in net.ids)
+def _force_defect(net, z, w, e, t):
+    """max |force + e + i t z| over the vertices of net moved to positions
+    z with weights w (arrays in canonical order)."""
+    first, second = net.ends
+    F = bond_forces(net.n, first, second, z[second] - z[first], w)
+    return float(np.max(np.abs(F + e + 1j * t * z)))
 
 
 def balance_nearby(net, phi, tol=1e-11):
@@ -42,37 +43,30 @@ def balance_nearby(net, phi, tol=1e-11):
         raise SolverError("balance_nearby needs a balanced flexible network")
     if net.m != 2 * net.n - 2 or cert.df_a_rank != 2 * net.n - 3:
         raise SolverError("balance_nearby needs m = 2n-2 with df_a rank 2n-3")
-    a0 = np.array([net.weights[e] for e in net.edges])
+    a0 = net.weight_array()
+    z = np.array([phi[v] for v in net.ids], dtype=complex)
     scale = max(total_weight(net), 1.0)
-    if _force_defect(net, phi, net.weights, 0j, 0.0) < tol * scale:
+    res = _force_defect(net, z, a0, 0j, 0.0)
+    if res < tol * scale:
         return PerturbationResult(dict(phi), dict(net.weights), 0j, 0.0,
-                                  _force_defect(net, phi, net.weights, 0j, 0.0), 0)
-    moved = net.with_positions(phi)
-    sysm = build_differentials(moved)
-    n, m = net.n, net.m
-    M = np.zeros((2 * n + 1, m + 3))
-    M[:2 * n, :m] = sysm.df_a
-    for i, vid in enumerate(moved.ids):
-        M[2 * i, m] = 1.0
-        M[2 * i + 1, m + 1] = 1.0
-        z = phi[vid]
-        M[2 * i, m + 2] = -z.imag
-        M[2 * i + 1, m + 2] = z.real
-    M[2 * n, :m] = a0
-    rhs = np.zeros(2 * n + 1)
-    rhs[2 * n] = float(a0 @ a0)
+                                  res, 0)
+    m = net.m
+    M = np.vstack([augmented_df_a(net.with_positions(phi)),
+                   np.concatenate([a0, np.zeros(3)])])
+    rhs = np.zeros(len(M))
+    rhs[-1] = float(a0 @ a0)
     try:
         sol = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
         raise SolverError("balance system is singular; phi too far from Id"
                           ) from exc
-    w = {e: sol[k] for k, e in enumerate(net.edges)}
-    if any(v == 0.0 for v in w.values()):
+    if np.any(sol[:m] == 0.0):
         raise SolverError("balanced weights hit zero")
     e = complex(sol[m], sol[m + 1])
     t = float(sol[m + 2])
-    res = _force_defect(net, phi, w, e, t)
-    return PerturbationResult(dict(phi), w, e, t, res, 1)
+    res = _force_defect(net, z, sol[:m], e, t)
+    return PerturbationResult(dict(phi), dict(zip(net.edges, sol[:m])),
+                              e, t, res, 1)
 
 
 def _pack_unbalanced(net, f, alpha_of, tol):
@@ -84,50 +78,34 @@ def _pack_unbalanced(net, f, alpha_of, tol):
     cert = certify(net)
     if cert.balanced or not cert.flexible:
         raise SolverError("needs an unbalanced flexible network")
-    ids = net.ids
-    idx = net.index()
-    edges = net.edges
     n, m = net.n, net.m
-    a0 = np.array([net.weights[e] for e in edges])
-    p0 = np.array([c for v in ids for c in (net.vertices[v].real,
-                                            net.vertices[v].imag)])
-    F0 = forces(net)
-    fv = {v: complex(f.get(v, 0)) if f else 0j for v in ids}
+    first, second = net.ends
+    z0 = net.positions()
+    a0 = net.weight_array()
+    F0 = bond_forces(n, first, second, z0[second] - z0[first], a0)
+    fv = np.array([complex(f.get(v, 0)) if f else 0j for v in net.ids])
 
     def unpack(x):
-        pos = {v: complex(x[2 * i], x[2 * i + 1]) for v, i in idx.items()}
-        w = x[2 * n:2 * n + m]
-        e = complex(x[2 * n + m], x[2 * n + m + 1])
-        return pos, w, e
+        z = x[0:2 * n:2] + 1j * x[1:2 * n:2]
+        return z, x[2 * n:2 * n + m], complex(x[2 * n + m], x[2 * n + m + 1])
 
     def fun(x):
-        pos, w, e = unpack(x)
-        out = np.empty(2 * n + m + 2)
-        F = {v: 0j for v in ids}
-        for k, (u, v) in enumerate(edges):
-            d = pos[v] - pos[u]
-            r = abs(d)
-            F[u] += w[k] * d / r
-            F[v] -= w[k] * d / r
-        for v, i in idx.items():
-            g = F[v] - F0[v] - fv[v] - e
-            out[2 * i] = g.real
-            out[2 * i + 1] = g.imag
-        al = alpha_of(w)
-        for k, (u, v) in enumerate(edges):
-            out[2 * n + k] = abs(pos[v] - pos[u]) - (1.0 - al[k])
-        bary = sum(pos[v] - net.vertices[v] for v in ids)
-        out[2 * n + m] = bary.real
-        out[2 * n + m + 1] = bary.imag
-        return out
+        z, w, e = unpack(x)
+        d = z[second] - z[first]
+        g = bond_forces(n, first, second, d, w) - F0 - fv - e
+        bary = np.sum(z - z0)
+        return np.concatenate([g.view(float), np.abs(d) - (1.0 - alpha_of(w)),
+                               [bary.real, bary.imag]])
 
-    x0 = np.concatenate([p0, a0, [0.0, 0.0]])
+    x0 = np.concatenate([np.column_stack([z0.real, z0.imag]).ravel(), a0,
+                         [0.0, 0.0]])
     x, info = damped_newton(fun, x0, tol=tol, scale=1.0)
     if not info.converged:
         raise SolverError(f"Newton stalled: residual {info.residual:.3e} "
                           f"at equation {info.worst_equation}")
-    pos, w, e = unpack(x)
-    return PerturbationResult(pos, {ek: w[k] for k, ek in enumerate(edges)},
+    z, w, e = unpack(x)
+    return PerturbationResult(dict(zip(net.ids, z.tolist())),
+                              dict(zip(net.edges, w.tolist())),
                               e, 0.0, info.residual, info.iterations)
 
 
@@ -209,6 +187,3 @@ def realize_triangle(f0, f1, f2, sign_product=None, tol=1e-12):
             sol = -sol
     return theta, tuple(float(s) for s in sol), unique
 
-
-def realized_triangle_network(theta, weights):
-    return triangle(theta, weights)

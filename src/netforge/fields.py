@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import eye, kron, diags
-from scipy.sparse.linalg import splu
+
+from .solvers import damped_newton
 
 CUTOFF = 30.0          # points farther than this from a window are ignored
 DELTA_DEFAULT = -0.5   # weighted-norm exponent
@@ -53,17 +54,6 @@ def _window_points(config, window):
         if abs(pt.z - window.center) <= reach:
             out.append((pt.z, pt.sign))
     return out
-
-
-def evaluate_field(config, window, table):
-    """Superposition sum(eta_z u0(|x - z|)) sampled on the window grid."""
-    X, Y = window.mesh()
-    u = np.zeros_like(X)
-    for z, s in _window_points(config, window):
-        r = np.hypot(X - z.real, Y - z.imag)
-        u += s * table.u0_at(r)
-    window.u = u
-    return window
 
 
 def residual(config, window, table):
@@ -229,14 +219,14 @@ class RefineResult:
 
 def refine(config, table, half_width, spacing=0.1, tol=1e-10, maxiter=40,
            center=0j):
-    """Damped Newton on the 5-point discretization of the field equation
-    with zero boundary data, started from the superposed field.
+    """Damped Newton (solvers.damped_newton) on the 5-point discretization
+    of the field equation with zero boundary data, started from the
+    superposed field.
     Experimental: configurations without a nearby true solution drift or
     stall, which is reported rather than raised."""
-    window = FieldWindow(center, half_width, spacing)
-    evaluate_field(config, window, table)
-    n = window.u.shape[0]
-    ni = n - 2
+    window = residual(config, FieldWindow(center, half_width, spacing),
+                      table)
+    ni = window.u.shape[0] - 2
     h = spacing
     main = -2.0 * np.ones(ni) / h ** 2
     off = np.ones(ni - 1) / h ** 2
@@ -245,40 +235,15 @@ def refine(config, table, half_width, spacing=0.1, tol=1e-10, maxiter=40,
     A = (kron(D2, I) + kron(I, D2) - eye(ni * ni, format="csc")).tocsc()
     f = table.nl.f
     fp = table.nl.fprime
-    u = window.u[1:-1, 1:-1].ravel().copy()
-    u0_flat = u.copy()
-
-    def res(v):
-        return A @ v + f(v)
-
-    r = res(u)
-    best = float(np.max(np.abs(r)))
-    history = [best]
-    it = 0
-    converged = best < tol
-    while not converged and it < maxiter:
-        J = (A + diags(fp(u), 0, format="csc")).tocsc()
-        dv = splu(J).solve(-r)
-        lam = 1.0
-        accepted = False
-        for _ in range(30):
-            ut = u + lam * dv
-            rt = res(ut)
-            if np.max(np.abs(rt)) < best or np.max(np.abs(rt)) < tol:
-                u, r = ut, rt
-                best = float(np.max(np.abs(r)))
-                accepted = True
-                break
-            lam *= 0.5
-        history.append(best)
-        it += 1
-        if not accepted:
-            break
-        converged = best < tol
+    u0 = window.u[1:-1, 1:-1].ravel()
+    u, info = damped_newton(lambda v: A @ v + f(v), u0,
+                            jac=lambda v: A + diags(fp(v), 0, format="csc"),
+                            tol=tol, maxiter=maxiter)
     full = np.zeros_like(window.u)
     full[1:-1, 1:-1] = u.reshape(ni, ni)
-    drift = float(np.max(np.abs(u - u0_flat)))
-    return RefineResult(window, full, best, it, converged, drift, history)
+    drift = float(np.max(np.abs(u - u0)))
+    return RefineResult(window, full, info.residual, info.iterations,
+                        info.converged, drift, info.history)
 
 
 def save_field(window, values, path):

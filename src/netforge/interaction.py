@@ -143,25 +143,40 @@ def _simpson_weights(n, h):
 
 class InteractionTable:
     """Ground-state profile plus the pair interaction Upsilon on a log
-    spline, with the alpha_ell inverse and the normalization constant."""
+    spline, with the alpha_ell inverse and the normalization constant.
 
-    def __init__(self, nl, beta, r, u0, du0, A, s, ln_ups):
+    Without `ln_ups` the table computes Upsilon by quadrature on its own
+    profile at the lengths `s` (default: S_MIN to S_MAX in S_STEP)."""
+
+    def __init__(self, nl, beta, r, u0, du0, A, s=None, ln_ups=None):
         self.nl = nl
         self.beta = float(beta)
         self.r = np.asarray(r, dtype=float)
         self.u0 = np.asarray(u0, dtype=float)
         self.du0 = np.asarray(du0, dtype=float)
         self.A = float(A)
-        self.s = np.asarray(s, dtype=float)
-        self.ln_ups = np.asarray(ln_ups, dtype=float)
         self._u_spline = CubicSpline(self.r, self.u0)
         self._du_spline = CubicSpline(self.r, self.du0)
+        if s is None:
+            s = np.arange(S_MIN, S_MAX + S_STEP / 2, S_STEP)
+        self.s = np.asarray(s, dtype=float)
+        if ln_ups is None:
+            ln_ups = np.log(self._upsilon_quadrature(self.s))
+        self.ln_ups = np.asarray(ln_ups, dtype=float)
         if np.any(np.diff(self.ln_ups) >= 0):
             raise RuntimeError("interaction strength is not decreasing")
         self._ls = CubicSpline(self.s, self.ln_ups)
         self._lsd = self._ls.derivative()
         # first guess for the inverse of _ls, polished by Newton in alpha_ell
         self._ls_inv = CubicSpline(self.ln_ups[::-1], self.s[::-1])
+
+    def _upsilon_quadrature(self, s):
+        X, Y, GW = _interaction_kernel(self, (1.0, 0.0), QUAD_N, QUAD_EXTENT)
+        vals = np.array([-np.sum(self.u0_at(np.hypot(X - si, Y)) * GW)
+                         for si in s])
+        if np.any(vals <= 0):
+            raise RuntimeError("nonpositive interaction values")
+        return vals
 
     # --- profile -------------------------------------------------------
 
@@ -274,23 +289,7 @@ def upsilon_direct(table, s, e=(1.0, 0.0), n=QUAD_N, extent=QUAD_EXTENT):
 
 def build_table(nl=CUBIC, bracket=(1.5, 3.0)):
     beta = ground_state_beta(nl, bracket)
-    r, u0, du0, A = _profile_grid(nl, beta)
-    partial = InteractionTable.__new__(InteractionTable)
-    partial.nl = nl
-    partial.A = A
-    partial.r = r
-    partial._u_spline = CubicSpline(r, u0)
-    partial._du_spline = CubicSpline(r, du0)
-    partial.u0_at = InteractionTable.u0_at.__get__(partial)
-    partial.du0_at = InteractionTable.du0_at.__get__(partial)
-    X, Y, GW = _interaction_kernel(partial, (1.0, 0.0), QUAD_N, QUAD_EXTENT)
-    s = np.arange(S_MIN, S_MAX + S_STEP / 2, S_STEP)
-    vals = np.empty(len(s))
-    for i, si in enumerate(s):
-        vals[i] = -np.sum(partial.u0_at(np.hypot(X - si, Y)) * GW)
-    if np.any(vals <= 0):
-        raise RuntimeError("nonpositive interaction values")
-    return InteractionTable(nl, beta, r, u0, du0, A, s, np.log(vals))
+    return InteractionTable(nl, beta, *_profile_grid(nl, beta))
 
 
 def cache_dir():

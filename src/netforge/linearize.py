@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import (forces, is_balanced, is_connected, is_embedded,
+from .network import (is_balanced, is_connected, is_embedded,
                       is_unitary, total_weight)
 
 RANK_SAFETY = 1e3
@@ -57,6 +57,21 @@ def build_differentials(net):
             df_phi[2 * i:2 * i + 2, 2 * j:2 * j + 2] += s * proj
         t_vec[k] = r * math.log(abs(a))
     return DifferentialSystem(net, dl, df_phi, df_a, t_vec)
+
+
+def augmented_df_a(net):
+    """df_a with three columns appended: the force of a translation e
+    (x, then y) and of a rotation rate t, i.e. of e + i t z_p at each
+    vertex p."""
+    m = net.m
+    z = net.positions()
+    M = np.zeros((2 * net.n, m + 3))
+    M[:, :m] = build_differentials(net).df_a
+    M[0::2, m] = 1.0
+    M[1::2, m + 1] = 1.0
+    M[0::2, m + 2] = -z.imag
+    M[1::2, m + 2] = z.real
+    return M
 
 
 def adjointness_defect(sys):

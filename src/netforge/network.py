@@ -8,6 +8,9 @@ orderings fix the row/column layout of every downstream matrix.
 
 import json
 import math
+from functools import cached_property
+
+import numpy as np
 
 from . import geometry
 
@@ -67,6 +70,20 @@ class Network:
     def index(self):
         return {vid: i for i, vid in enumerate(self.ids)}
 
+    @cached_property
+    def ends(self):
+        """(first, second): vertex indices of each edge's ends, as int
+        arrays in canonical edge order."""
+        idx = self.index()
+        return (np.array([idx[u] for u, _ in self.edges], dtype=int),
+                np.array([idx[v] for _, v in self.edges], dtype=int))
+
+    def positions(self):
+        return np.array([self.vertices[v] for v in self.ids], dtype=complex)
+
+    def weight_array(self):
+        return np.array([self.weights[e] for e in self.edges], dtype=float)
+
     def neighbors(self, vid):
         out = []
         for (u, v) in self.edges:
@@ -92,15 +109,24 @@ class Network:
         return Network(dict(self.vertices), dict(weights))
 
 
+def bond_forces(n, first, second, d, w):
+    """Force at each of n vertices from bonds of weight w and vector d
+    (second end minus first end): each bond pulls its first end by
+    w d/|d| and its second end back by as much."""
+    pull = w * d / np.abs(d)
+    out = np.zeros(n, dtype=complex)
+    np.add.at(out, first, pull)
+    np.add.at(out, second, -pull)
+    return out
+
+
 def forces(net):
     """Force at each vertex: weighted sum of unit vectors toward neighbors."""
-    out = {vid: 0.0 + 0.0j for vid in net.ids}
-    for (u, v), a in net.weights.items():
-        d = net.vertices[v] - net.vertices[u]
-        r = abs(d)
-        out[u] += a * d / r
-        out[v] -= a * d / r
-    return out
+    first, second = net.ends
+    z = net.positions()
+    F = bond_forces(net.n, first, second, z[second] - z[first],
+                    net.weight_array())
+    return dict(zip(net.ids, F.tolist()))
 
 
 def lengths(net):

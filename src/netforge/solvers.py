@@ -1,8 +1,11 @@
-"""Damped Newton iteration for small dense nonlinear systems."""
+"""Damped Newton iteration for nonlinear systems with dense or sparse
+Jacobians."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import issparse
+from scipy.sparse.linalg import splu
 
 
 class SolverError(RuntimeError):
@@ -15,6 +18,7 @@ class NewtonInfo:
     iterations: int
     converged: bool
     worst_equation: int = -1
+    history: list = field(default_factory=list)  # max|f| per accepted step
 
 
 def fd_jacobian(fun, x, f0=None, step=1e-7):
@@ -34,22 +38,28 @@ def damped_newton(fun, x0, jac=None, tol=1e-11, scale=1.0, maxiter=100,
                   fd_step=1e-7, max_step=None):
     """Solve fun(x) = 0 by Newton with backtracking line search.
 
-    Convergence: max|fun(x)| < tol * scale. Returns (x, NewtonInfo).
-    max_step caps the sup-norm of each Newton step, which keeps the
-    iteration inside the basin when the Jacobian has a soft mode.
+    Convergence: max|fun(x)| < tol * scale. Returns (x, NewtonInfo); its
+    history holds max|fun| at the start and after each accepted step.
+    A sparse Jacobian from `jac` is factorised with splu, a dense one
+    solved directly (least squares when it is not square). max_step caps
+    the sup-norm of each Newton step, which keeps the iteration inside
+    the basin when the Jacobian has a soft mode.
     """
     x = np.asarray(x0, dtype=float).copy()
     f = fun(x)
     best = float(np.max(np.abs(f))) if f.size else 0.0
+    history = [best]
     it = 0
     while best >= tol * scale and it < maxiter:
         J = jac(x) if jac is not None else fd_jacobian(fun, x, f, fd_step)
         try:
-            if J.shape[0] == J.shape[1]:
+            if issparse(J):
+                dx = splu(J.tocsc()).solve(-f)
+            elif J.shape[0] == J.shape[1]:
                 dx = np.linalg.solve(J, -f)
             else:
                 dx = np.linalg.lstsq(J, -f, rcond=None)[0]
-        except np.linalg.LinAlgError as exc:
+        except (np.linalg.LinAlgError, RuntimeError) as exc:
             raise SolverError(f"singular Jacobian at iteration {it}") from exc
         frac = 1.0
         if max_step is not None:
@@ -66,13 +76,15 @@ def damped_newton(fun, x0, jac=None, tol=1e-11, scale=1.0, maxiter=100,
                np.max(np.abs(ft)) < tol * scale:
                 x, f = xt, ft
                 best = float(np.max(np.abs(f)))
+                history.append(best)
                 accepted = True
                 break
             lam *= 0.5
         if not accepted:
-            info = NewtonInfo(best, it, False, int(np.argmax(np.abs(f))))
+            info = NewtonInfo(best, it, False, int(np.argmax(np.abs(f))),
+                              history)
             return x, info
         it += 1
     converged = best < tol * scale
     worst = int(np.argmax(np.abs(f))) if f.size else -1
-    return x, NewtonInfo(best, it, converged, worst)
+    return x, NewtonInfo(best, it, converged, worst, history)

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from netforge.assembly import (Assembly, CloudPoint, Configuration,
                                chain_matrix_inverse, coordinate_quantization,
                                diagnostic_chain_cloud, generate_cloud,
                                load_assembly, load_cloud, neighbor_graph,
-                               quantize, save_assembly, save_cloud,
+                               save_assembly, save_cloud,
                                singleton_at, solve_master, verify_assembly)
 from netforge.builders import example_5_1, example_5_2, n_c_assembly
 from netforge.catalog import polygon_center, regular_polygon
@@ -37,24 +36,6 @@ def test_verify_rejects_shifted_barycenter():
     report = verify_assembly(asm)
     assert not report.ok
     assert "i_barycenter" in report.failing()
-
-
-def test_quantize_rounding():
-    # anchor gaps 10, 10.7 and 11.3 at kappa=1 and alpha=0:
-    # 2m is the smallest even integer at or above the gap
-    master = Network({"a": 0j, "b": 10 + 0j, "c": 10 + 10.7j,
-                      "d": complex(10 - 11.3, 10.7)},
-                     {("a", "b"): 1.0, ("b", "c"): 1.0, ("c", "d"): 1.0})
-    stub = SimpleNamespace(alpha_ell=lambda a, ell: 0.0)
-    mm = quantize(SimpleNamespace(master=master), 1.0, 10.0, stub)
-    assert mm[("a", "b")] == 5
-    assert mm[("b", "c")] == 6
-    assert mm[("c", "d")] == 6
-
-
-def test_quantize_with_table(table):
-    mm = quantize(example_5_1(7), 64.0, 10.0, table)
-    assert all(isinstance(m, int) and m >= 1 for m in mm.values())
 
 
 def test_coordinate_quantization_example(table):

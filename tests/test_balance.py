@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from netforge.balance import (balance_nearby, perturb_unbalanced,
-                              perturb_unbalanced_coupled, realize_triangle,
-                              realized_triangle_network)
-from netforge.catalog import chain, polygon_center, regular_polygon
+                              perturb_unbalanced_coupled, realize_triangle)
+from netforge.catalog import chain, polygon_center, regular_polygon, triangle
 from netforge.network import edge_key, forces, lengths
 from netforge.solvers import SolverError
 
@@ -52,7 +51,7 @@ def test_realize_triangle_roundtrip():
         f1 = complex(*rng.normal(0, 1, 2))
         f2 = -f0 - f1
         theta, w, unique = realize_triangle(f0, f1, f2)
-        net = realized_triangle_network(theta, w)
+        net = triangle(theta, w)
         F = forces(net)
         for fj, vid in ((f0, "z0"), (f1, "z1"), (f2, "z2")):
             assert abs(F[vid] - fj) < 1e-9
@@ -67,7 +66,7 @@ def test_realize_triangle_branches():
         prod = math.copysign(1.0, w[0]) * math.copysign(1.0, w[1]) \
             * math.copysign(1.0, w[2])
         assert prod == target
-        F = forces(realized_triangle_network(theta, w))
+        F = forces(triangle(theta, w))
         assert abs(F["z0"] - f0) < 1e-9
 
 
@@ -85,7 +84,7 @@ def test_realize_triangle_degenerate_direction():
     f = [zeta ** (2 * j) for j in range(3)]
     theta, w, unique = realize_triangle(*f)
     assert not unique
-    F = forces(realized_triangle_network(theta, w))
+    F = forces(triangle(theta, w))
     for j in range(3):
         assert abs(F[f"z{j}"] - f[j]) < 1e-8
 

@@ -8,9 +8,9 @@ from netforge.assembly import (CloudPoint, Configuration,
                                solve_master)
 from netforge.builders import n_c_assembly
 from netforge.fields import (CUTOFF, FieldWindow, _window_points,
-                             cutoff_profile, evaluate_field, load_field,
-                             pohozaev_defect, predicted_force, project_force,
-                             refine, residual, residual_norms, save_field)
+                             cutoff_profile, load_field, pohozaev_defect,
+                             predicted_force, project_force, refine, residual,
+                             residual_norms, save_field)
 
 
 def two_point_config(ell, signs=(1, 1)):
@@ -47,7 +47,7 @@ def test_single_point_residual_is_zero(table):
 
 def test_superposition_field(table):
     cfg = two_point_config(8.0)
-    w = evaluate_field(cfg, FieldWindow(0j, 2.0), table)
+    w = residual(cfg, FieldWindow(0j, 2.0), table)
     # center value is u0(0) plus the neighbor tail
     center = w.u[w.u.shape[0] // 2, w.u.shape[1] // 2]
     expect = table.u0_at(0.0) + table.u0_at(8.0)
@@ -203,7 +203,7 @@ def test_predicted_force_matches_loop_exactly(table, nc_cloud):
 def test_pohozaev_defect(table):
     # radially symmetric single bump: every Killing pairing vanishes
     cfg = Configuration([CloudPoint(0j, 1, "a")], 10.0)
-    w = evaluate_field(cfg, FieldWindow(0j, 12.0, 0.1), table)
+    w = residual(cfg, FieldWindow(0j, 12.0, 0.1), table)
     fvals = table.nl.f(w.u)
     for xi in ("dx", "dy", "rot"):
         val = pohozaev_defect(w, w.u, fvals, xi, decay_tol=1e-4)

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import k0, k1
 
 from netforge.interaction import (CUBIC, S_MAX, S_MIN, InteractionTable,
-                                  Nonlinearity, table_cache_path,
+                                  Nonlinearity, build_table, table_cache_path,
                                   upsilon_direct)
 
 # frozen reference values for the cubic nonlinearity
@@ -229,6 +230,19 @@ def test_save_load_roundtrip(table, tmp_path):
     assert np.array_equal(back.u0, table.u0)
     assert np.array_equal(back.ln_ups, table.ln_ups)
     assert back.nl == table.nl
+
+
+def test_cold_build_equals_committed_table():
+    # the table checked in under .cache/ is exactly what a build computes
+    committed = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        ".cache", os.path.basename(table_cache_path(CUBIC, ".")))
+    built = build_table()
+    with np.load(committed) as d:
+        for name in ("r", "u0", "du0", "s", "ln_ups"):
+            assert np.array_equal(getattr(built, name), d[name]), name
+        assert built.beta == d["beta"]
+        assert built.A == d["A"]
 
 
 def test_cache_path_is_deterministic(tmp_path):

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import random_network
 from netforge.catalog import catalog, catalog_names, polygon_center, triangle
-from netforge.linearize import (adjointness_defect, build_differentials,
-                                certify, lambda_matrix, lambda_ring_matrix,
-                                numerical_rank, nv_closability_criterion,
+from netforge.linearize import (adjointness_defect, augmented_df_a,
+                                build_differentials, certify, lambda_matrix,
+                                lambda_ring_matrix, numerical_rank,
+                                nv_closability_criterion,
                                 polygon_flexibility_criterion)
 from netforge.network import forces, total_weight
 
@@ -127,3 +128,16 @@ def test_nv_closability_value_at_pi_4():
     # sin = cos = sqrt(2)/2 there, so the value is ln(sqrt(2))
     assert nv_closability_criterion(math.pi / 4) == pytest.approx(
         math.log(math.sqrt(2.0)), abs=1e-12)
+
+
+def test_augmented_df_a_columns():
+    net = random_network(np.random.default_rng(5))
+    M = augmented_df_a(net)
+    m = net.m
+    assert M.shape == (2 * net.n, m + 3)
+    assert np.array_equal(M[:, :m], build_differentials(net).df_a)
+    # the appended columns give e + i t z at every vertex
+    e, t = 0.3 - 0.7j, 1.9
+    z = np.array([net.vertices[v] for v in net.ids])
+    got = M[:, m:] @ [e.real, e.imag, t]
+    assert np.allclose(got, (e + 1j * t * z).view(float), atol=1e-14)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from netforge.network import (Network, NetworkError, edge_key, forces,
-                              is_balanced, is_connected, is_embedded,
+from conftest import random_network
+from netforge.network import (Network, NetworkError, bond_forces, edge_key,
+                              forces, is_balanced, is_connected, is_embedded,
                               is_unitary, lengths, load_network, save_network,
                               total_weight)
 
@@ -35,6 +36,38 @@ def test_three_point_forces_oracle():
     assert abs(F["a"] - (1.0 + 0j) - (-2.0) * 1j) < 1e-14
     assert abs(F["b"] - (-1.0 + 0j) - 0.5 * complex(-s, s)) < 1e-14
     assert abs(F["c"] - (-2.0) * (-1j) - 0.5 * complex(s, -s)) < 1e-14
+
+
+def test_forces_match_per_edge_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        net = random_network(rng)
+        expect = {v: 0j for v in net.ids}
+        for (u, v), a in net.weights.items():
+            d = net.vertices[v] - net.vertices[u]
+            expect[u] += a * d / abs(d)
+            expect[v] -= a * d / abs(d)
+        F = forces(net)
+        assert list(F) == net.ids
+        assert all(abs(F[v] - expect[v]) < 1e-12 for v in net.ids)
+        assert abs(sum(F.values())) < 1e-12
+
+
+def test_bond_forces_pull_both_ends():
+    # two bonds between vertices 0 and 1, given by their vectors (second
+    # end minus first); vertex 2 has no bond
+    F = bond_forces(3, np.array([0, 1]), np.array([1, 0]),
+                    np.array([2 + 0j, -3j]), np.array([1.5, -2.0]))
+    assert np.array_equal(F, [1.5 - 2j, -1.5 + 2j, 0j])
+
+
+def test_edge_ends_follow_canonical_order():
+    net = Network({"b": 1j, "a": 0j, "c": 1 + 0j},
+                  {("c", "a"): 1.0, ("b", "c"): 2.0})
+    first, second = net.ends
+    assert net.edges == [("a", "c"), ("b", "c")]
+    assert first.tolist() == [0, 1]
+    assert second.tolist() == [2, 2]
 
 
 def test_lengths_and_total_weight():

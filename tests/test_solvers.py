@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix, diags
 
 from netforge.solvers import SolverError, damped_newton, fd_jacobian
 
@@ -78,3 +79,35 @@ def test_tol_scale():
                             np.array([5.0]), tol=1e-3, scale=10.0)
     assert info.converged
     assert info.residual < 1e-2
+
+
+def test_sparse_jacobian_and_history():
+    c = np.linspace(-3.0, 3.0, 50)
+
+    def fun(x):
+        return x ** 3 + x - c
+
+    x, info = damped_newton(fun, np.zeros(50),
+                            jac=lambda x: diags(3 * x ** 2 + 1, format="csc"))
+    assert info.converged
+    assert np.max(np.abs(fun(x))) < 1e-11
+    # max|f| at the start, then after each accepted step
+    assert len(info.history) == info.iterations + 1
+    assert info.history[0] == np.max(np.abs(c))
+    assert info.history[-1] == info.residual
+    assert all(b < a for a, b in zip(info.history, info.history[1:]))
+
+
+def test_singular_sparse_jacobian_raises():
+    with pytest.raises(SolverError):
+        damped_newton(lambda x: np.array([x[0] + x[1], x[0] + x[1]]),
+                      np.array([1.0, 1.0]),
+                      jac=lambda x: csc_matrix(np.ones((2, 2))))
+
+
+def test_history_on_stall():
+    x, info = damped_newton(lambda x: np.array([x[0] ** 2 + 1.0]),
+                            np.array([0.5]), maxiter=50)
+    assert not info.converged
+    assert len(info.history) == info.iterations + 1
+    assert info.history[-1] == info.residual

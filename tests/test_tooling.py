@@ -1,0 +1,44 @@
+"""The benchmark's layer tracer (perfbench/spans.py) patches netforge
+functions by name; these tests fail when a rename breaks it."""
+
+import importlib.util
+import os
+
+import pytest
+
+from netforge import (assembly, balance, builders, cli, fields, interaction,
+                      solvers)
+from netforge.catalog import chain
+
+SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "perfbench", "spans.py")
+OWNERS = (assembly, balance, builders, cli, fields, interaction,
+          interaction.InteractionTable)
+
+
+@pytest.fixture
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_records_newton_and_restores_functions(spans):
+    before = {owner: dict(vars(owner)) for owner in OWNERS}
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        assert balance.damped_newton is not solvers.damped_newton
+        balance.perturb_unbalanced(chain(3), f={"z0": 0.02 + 0.01j})
+    finally:
+        tracer.uninstall()
+    assert len(tracer.durations("solvers.damped_newton")) == 1
+    assert tracer.counts["solvers.newton_iterations"] >= 1
+    assert tracer.counts["solvers.fun_evals"] > 0
+    assert balance.damped_newton is solvers.damped_newton
+    assert assembly.damped_newton is solvers.damped_newton
+    for owner, attrs in before.items():
+        now = vars(owner)
+        assert now.keys() == attrs.keys()
+        assert all(now[k] is v for k, v in attrs.items()), owner
