@@ -427,8 +427,11 @@ def solve_master(asm, kappa, ell, table, f=None, tol=1e-11, skip_verify=False,
             for (p, _r), val in f.items():
                 f_total[p] = f_total.get(p, 0j) + complex(val)
             w_est = _estimate_weights(asm, f_total)
-        m_map, mu0 = coordinate_quantization(asm, kappa, ell, table,
-                                             weights=w_est)
+        try:
+            m_map, mu0 = coordinate_quantization(asm, kappa, ell, table,
+                                                 weights=w_est)
+        except ValueError as exc:    # a weight has no alpha_ell at ell
+            raise SolverError(f"chain quantization failed: {exc}") from exc
     fv = {}
     for p in ids:
         for r in asm.subs[p].net.ids:

@@ -10,7 +10,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -308,7 +308,7 @@ def _select_windows(config, spec):
 def _point_row(config, idx, table, delta):
     pt = config.points[idx]
     ell = config.ell
-    window = FieldWindow(pt.z, ell / 4.0 + 2.0)
+    window = FieldWindow(pt.z, ell / 4.0 + 2.0, delta=delta)
     proj = project_force(config, pt.z, table, window)
     sup, weighted = residual_norms(config, window, table, delta)
     pred = predicted_force(config, idx, table)

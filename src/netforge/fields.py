@@ -6,7 +6,6 @@ All diagnostics run on per-point windows; global grids at realistic
 configuration scales would be far too large.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +22,11 @@ class FieldWindow:
     center: complex
     half_width: float
     spacing: float = 0.1
+    delta: float = DELTA_DEFAULT   # exponent of the residual norm weight
     u: np.ndarray = None           # superposed field samples
     E: np.ndarray = None           # algebraic residual samples
+    weight: np.ndarray = None      # weighted-norm weight samples
+    r_center: np.ndarray = None    # |x - center|, if a bump sits there
 
     def __post_init__(self):
         if self.spacing > 0.1 + 1e-12:
@@ -60,42 +62,48 @@ def residual(config, window, table):
     """Algebraic residual f(sum eta u0) - sum eta f(u0) on the window.
 
     The identity avoids any numerical Laplacian: each summand solves the
-    equation exactly, so only the nonlinear cross terms remain.
+    equation exactly, so only the nonlinear cross terms remain. The same
+    pass over the bumps sums the norm weight
+    sum_z exp(delta sqrt(1 + |x - z|^2)) at the window's delta and keeps
+    the distance grid of a bump at the window center for the projection.
     """
-    X, Y = window.mesh()
-    u = np.zeros_like(X)
-    lin = np.zeros_like(X)
+    x, y = window.axes()
+    u = np.zeros((x.size, y.size))
+    lin = np.zeros_like(u)
+    w = np.zeros_like(u)
     f = table.nl.f
+    window.r_center = None
     for z, s in _window_points(config, window):
-        r = np.hypot(X - z.real, Y - z.imag)
+        dx = (x - z.real)[:, None]
+        dy = (y - z.imag)[None, :]
+        r = np.hypot(dx, dy)
         u0 = table.u0_at(r)
         u += s * u0
         lin += s * f(u0)
+        w += np.exp(window.delta * np.sqrt(1.0 + dx ** 2 + dy ** 2))
+        if z == window.center:
+            window.r_center = r
     window.u = u
     window.E = f(u) - lin
+    window.weight = w
     return window
 
 
 def residual_norms(config, window, table, delta=DELTA_DEFAULT):
     """(sup norm, weighted norm) of the residual on the window; the weight
     is sum_z exp(delta sqrt(1 + |x - z|^2))."""
-    if window.E is None:
+    if window.E is None or window.delta != delta:
+        window.delta = delta
         residual(config, window, table)
-    X, Y = window.mesh()
-    w = np.zeros_like(X)
-    for z, _ in _window_points(config, window):
-        r2 = 1.0 + (X - z.real) ** 2 + (Y - z.imag) ** 2
-        w += np.exp(delta * np.sqrt(r2))
-    sup = float(np.max(np.abs(window.E)))
-    weighted = float(np.max(np.abs(window.E) / w))
-    return sup, weighted
+    size = np.abs(window.E)
+    return float(np.max(size)), float(np.max(size / window.weight))
 
 
 def cutoff_profile(s):
-    """Smooth step: 1 below -1, 0 above 1, cosine blend between."""
-    s = np.asarray(s, dtype=float)
-    out = np.where(s <= -1.0, 1.0,
-                   np.where(s >= 1.0, 0.0, (1.0 - np.sin(np.pi * s / 2)) / 2))
+    """Smooth step: 1 below -1, 0 above 1, cosine blend between (the
+    blend is exactly 1 and 0 at the clipped ends)."""
+    s = np.clip(np.asarray(s, dtype=float), -1.0, 1.0)
+    out = (1.0 - np.sin(np.pi * s / 2)) / 2
     return out if out.ndim else float(out)
 
 
@@ -103,20 +111,20 @@ def _raw_projection(config, z, window, table, rho):
     """Componentwise quadrature of E against chi(|x-z| - rho) grad u0."""
     if window.E is None:
         residual(config, window, table)
-    X, Y = window.mesh()
-    dx = X - z.real
-    dy = Y - z.imag
-    r = np.hypot(dx, dy)
-    chi = cutoff_profile(r - rho)
+    x, y = window.axes()
+    dx = (x - z.real)[:, None]
+    dy = (y - z.imag)[None, :]
+    r = window.r_center
+    if r is None or z != window.center:
+        r = np.hypot(dx, dy)
     du = table.du0_at(r)
     nz = r > 0
-    gx = np.zeros_like(r)
-    gy = np.zeros_like(r)
-    gx[nz] = du[nz] * dx[nz] / r[nz]
-    gy[nz] = du[nz] * dy[nz] / r[nz]
+    gx = np.divide(du * dx, r, out=np.zeros_like(r), where=nz)
+    gy = np.divide(du * dy, r, out=np.zeros_like(r), where=nz)
+    Ec = window.E * cutoff_profile(r - rho)
     h = window.spacing
-    ex = float(np.trapezoid(np.trapezoid(window.E * chi * gx, dx=h), dx=h))
-    ey = float(np.trapezoid(np.trapezoid(window.E * chi * gy, dx=h), dx=h))
+    ex = float(np.trapezoid(np.trapezoid(Ec * gx, dx=h), dx=h))
+    ey = float(np.trapezoid(np.trapezoid(Ec * gy, dx=h), dx=h))
     return complex(ex, ey)
 
 

@@ -141,6 +141,22 @@ def _simpson_weights(n, h):
     return w * (h / 3.0)
 
 
+def _spline_on_grid(c, x):
+    """The CubicSpline with coefficients `c` on the knots i * DR at x, bit
+    for bit as scipy evaluates it: c3 + c2 s + c1 s^2 + c0 s^3 summed in
+    that order, s = x - i DR, on the i with i DR <= x < (i + 1) DR (ends
+    extended). i is x / DR rounded down, moved by one where the quotient
+    rounds across a knot."""
+    i = (x * (1.0 / DR)).astype(np.intp)
+    i -= x < i * DR
+    i += x >= (i + 1) * DR
+    i = np.clip(i, 0, c.shape[1] - 1)
+    s = x - i * DR
+    s2 = s * s
+    c0, c1, c2, c3 = c
+    return c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+
+
 class InteractionTable:
     """Ground-state profile plus the pair interaction Upsilon on a log
     spline, with the alpha_ell inverse and the normalization constant.
@@ -155,6 +171,8 @@ class InteractionTable:
         self.u0 = np.asarray(u0, dtype=float)
         self.du0 = np.asarray(du0, dtype=float)
         self.A = float(A)
+        if not np.array_equal(self.r, np.arange(self.r.size) * DR):
+            raise ValueError("profile grid must be r = i * DR")
         self._u_spline = CubicSpline(self.r, self.u0)
         self._du_spline = CubicSpline(self.r, self.du0)
         if s is None:
@@ -181,21 +199,22 @@ class InteractionTable:
     # --- profile -------------------------------------------------------
 
     def u0_at(self, r):
-        return self._radial(r, self._u_spline, lambda x: self.A * k0(x))
+        return self._radial(r, self._u_spline.c, lambda x: self.A * k0(x))
 
     def du0_at(self, r):
-        return self._radial(r, self._du_spline, lambda x: -self.A * k1(x))
+        return self._radial(r, self._du_spline.c, lambda x: -self.A * k1(x))
 
-    def _radial(self, r, spline, tail):
-        """The spline on the grid, the Bessel tail beyond it. Only the
-        spline runs when every r is on the grid."""
+    def _radial(self, r, c, tail):
+        """The spline with coefficients `c` on the grid, the Bessel tail
+        beyond it (and at NaN); each point runs only its own branch."""
         r = np.asarray(r, dtype=float)
-        rmax = self.r[-1]
-        if np.all(r <= rmax):
-            out = spline(r)
+        inside = r <= self.r[-1]
+        if inside.all():
+            out = _spline_on_grid(c, r)
         else:
-            out = np.where(r <= rmax, spline(np.minimum(r, rmax)),
-                           tail(np.maximum(r, 1.0)))
+            out = np.empty_like(r)
+            out[inside] = _spline_on_grid(c, r[inside])
+            out[~inside] = tail(r[~inside])
         return out if out.ndim else float(out)
 
     def tail_constant(self):

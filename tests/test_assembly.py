@@ -122,6 +122,10 @@ def test_solve_master_reports_weights_leaving_the_table(table):
     # magnitude has no alpha_ell; the solve fails instead of crashing
     with pytest.raises(SolverError, match="tabulated range"):
         solve_master(example_5_1(7), 64.0, 2.0, table)
+    # at the longest, the master weights below 1 have none either, which
+    # the chain quantization meets before the Newton solve starts
+    with pytest.raises(SolverError, match="chain quantization failed"):
+        solve_master(example_5_1(7), 64.0, 110.0, table)
 
 
 def _cloud_51(table):

@@ -81,6 +81,22 @@ def test_configure_at_shortest_length_exits_1(tmp_path, cache_env):
     assert not cloud.exists()
 
 
+def test_configure_at_longest_length_exits_1(tmp_path, cache_env):
+    # --ell 110 is accepted (the table's longest length), but ex51's
+    # master weights below 1 in magnitude need lengths beyond the table
+    # already when the chain counts are chosen: exit 1 with a message
+    cloud = tmp_path / "cloud.csv"
+    r = run_cli(["configure", "--catalog", "example_5_1", "--k", "7",
+                 "--ell", "110", "--kappa", "64", "--out", str(cloud)],
+                tmp_path, cache_env)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("configure: chain quantization failed: ")
+    assert "tabulated range" in r.stderr
+    assert r.stderr.count("\n") == 1
+    assert "Traceback" not in r.stderr
+    assert not cloud.exists()
+
+
 def test_configure_assemble_plot_pipeline(tmp_path, cache_env):
     cloud = tmp_path / "cloud.csv"
     r = run_cli(["configure", "--catalog", "n_c", "--ell", "10",

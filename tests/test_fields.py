@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import k0, k1
 
 from netforge.assembly import (CloudPoint, Configuration,
                                diagnostic_chain_cloud, generate_cloud,
                                solve_master)
-from netforge.builders import n_c_assembly
-from netforge.fields import (CUTOFF, FieldWindow, _window_points,
-                             cutoff_profile, load_field, pohozaev_defect,
-                             predicted_force, project_force, refine, residual,
-                             residual_norms, save_field)
+from netforge.builders import example_5_1, n_c_assembly
+from netforge.fields import (CUTOFF, DELTA_DEFAULT, FieldWindow,
+                             _raw_projection, _window_points, cutoff_profile,
+                             load_field, pohozaev_defect, predicted_force,
+                             project_force, refine, residual, residual_norms,
+                             save_field)
 
 
 def two_point_config(ell, signs=(1, 1)):
@@ -198,6 +200,95 @@ def test_predicted_force_matches_loop_exactly(table, nc_cloud):
     for i in anchors + list(range(0, len(nc_cloud.points), 29)):
         assert predicted_force(nc_cloud, i, table) == \
             _predicted_force_loop(nc_cloud, i, table)
+
+
+@pytest.fixture(scope="module")
+def ex51_cloud(table):
+    return generate_cloud(solve_master(example_5_1(7), 64.0, 10.0, table),
+                          table)
+
+
+def _profile_loop(table, r, spline, tail):
+    """Reference profile: scipy's spline, the tail picked by np.where."""
+    rmax = table.r[-1]
+    return np.where(r <= rmax, spline(np.minimum(r, rmax)),
+                    tail(np.maximum(r, 1.0)))
+
+
+def _residual_loop(config, window, table, z, rho, delta):
+    """Reference: the residual, its norm weight and the projection at z,
+    each in its own pass over meshgrid arrays, as (u, E, sup, weighted,
+    raw projection)."""
+    X, Y = window.mesh()
+    f = table.nl.f
+    pts = _window_points_loop(config, window)
+    u = np.zeros_like(X)
+    lin = np.zeros_like(X)
+    for zb, s in pts:
+        u0 = _profile_loop(table, np.hypot(X - zb.real, Y - zb.imag),
+                           table._u_spline, lambda x: table.A * k0(x))
+        u += s * u0
+        lin += s * f(u0)
+    E = f(u) - lin
+    w = np.zeros_like(X)
+    for zb, _ in pts:
+        r2 = 1.0 + (X - zb.real) ** 2 + (Y - zb.imag) ** 2
+        w += np.exp(delta * np.sqrt(r2))
+    dx = X - z.real
+    dy = Y - z.imag
+    r = np.hypot(dx, dy)
+    t = r - rho
+    chi = np.where(t <= -1.0, 1.0,
+                   np.where(t >= 1.0, 0.0, (1.0 - np.sin(np.pi * t / 2)) / 2))
+    du = _profile_loop(table, r, table._du_spline, lambda x: -table.A * k1(x))
+    nz = r > 0
+    gx = np.zeros_like(r)
+    gy = np.zeros_like(r)
+    gx[nz] = du[nz] * dx[nz] / r[nz]
+    gy[nz] = du[nz] * dy[nz] / r[nz]
+    h = window.spacing
+    ex = float(np.trapezoid(np.trapezoid(E * chi * gx, dx=h), dx=h))
+    ey = float(np.trapezoid(np.trapezoid(E * chi * gy, dx=h), dx=h))
+    return (u, E, float(np.max(np.abs(E))), float(np.max(np.abs(E) / w)),
+            complex(ex, ey))
+
+
+@pytest.mark.parametrize("delta", [DELTA_DEFAULT, -0.3])
+def test_one_pass_window_matches_loop(table, ex51_cloud, nc_cloud, delta):
+    # windows on anchors and on spread points; each also projects at a
+    # point off its center, where no bump's distances can be reused.
+    # The windows take the default delta, so -0.3 makes residual_norms
+    # redo the pass at its own delta.
+    for cfg in (ex51_cloud, nc_cloud):
+        rho = cfg.ell / 4.0
+        anchors = [i for i, pt in enumerate(cfg.points)
+                   if pt.provenance.startswith("anchor:")]
+        for i in anchors[:6] + list(range(1, len(cfg.points), 211)):
+            z = cfg.points[i].z
+            for at in (z, z + 0.37 - 0.21j):
+                window = FieldWindow(z, rho + 2.0)
+                g = _raw_projection(cfg, at, window, table, rho)
+                sup, weighted = residual_norms(cfg, window, table, delta)
+                u, E, ref_sup, ref_weighted, ref_g = _residual_loop(
+                    cfg, window, table, at, rho, delta)
+                assert np.array_equal(window.u, u)
+                assert np.array_equal(window.E, E)
+                assert (sup, weighted) == (ref_sup, ref_weighted)
+                assert g == ref_g
+
+
+def test_window_delta_sets_the_norm_weight(table, nc_cloud):
+    # a window made at delta does not redo its pass for norms at delta,
+    # and its weight is the one the norms divide by
+    z = nc_cloud.points[0].z
+    window = FieldWindow(z, 4.5, delta=-0.3)
+    project_force(nc_cloud, z, table, window)
+    E, weight = window.E, window.weight
+    sup, weighted = residual_norms(nc_cloud, window, table, -0.3)
+    assert window.E is E and window.weight is weight
+    assert weighted == float(np.max(np.abs(E) / weight))
+    assert residual_norms(nc_cloud, window, table)[1] != weighted
+    assert window.delta == DELTA_DEFAULT and window.weight is not weight
 
 
 def test_pohozaev_defect(table):

@@ -102,6 +102,39 @@ def test_profile_of_scalar_is_float(table, r):
         assert got == float(_profile_where(table, r, spline, tail))
 
 
+# knot indices of the profile grid r = i * DR, i = 0..10000
+KNOTS = st.lists(st.integers(0, 10000), max_size=20)
+
+
+@settings(max_examples=80, deadline=None)
+@given(radii=st.lists(st.floats(0.0, 50.0), max_size=40), knots=KNOTS)
+def test_profile_on_grid_is_scipys_spline(table, radii, knots):
+    # the interval comes from r / DR, not a search: knots and the floats
+    # on either side of them are where a rounded quotient would pick the
+    # wrong one
+    rk = table.r[knots]
+    r = np.concatenate([radii, rk, np.nextafter(rk, -1.0),
+                        np.nextafter(rk, np.inf), [0.0, table.r[-1]]])
+    r = r[(r >= 0.0) & (r <= table.r[-1])]
+    assert np.array_equal(table.u0_at(r), table._u_spline(r))
+    assert np.array_equal(table.du0_at(r), table._du_spline(r))
+
+
+def test_profile_on_every_knot_is_scipys_spline(table):
+    rk = table.r
+    r = np.concatenate([rk, np.nextafter(rk[1:], -1.0),
+                        np.nextafter(rk[:-1], np.inf)])
+    assert np.array_equal(table.u0_at(r), table._u_spline(r))
+    assert np.array_equal(table.du0_at(r), table._du_spline(r))
+
+
+def test_table_needs_the_uniform_grid(table):
+    with pytest.raises(ValueError, match="i \\* DR"):
+        InteractionTable(table.nl, table.beta, table.r * (1 + 1e-15),
+                         table.u0, table.du0, table.A, table.s,
+                         table.ln_ups)
+
+
 def test_tail_constant_and_variation(table):
     assert table.tail_constant() == pytest.approx(TAIL_CONSTANT, abs=1e-9)
     sel = table.r >= table.r[-1] * 0.75

@@ -42,3 +42,21 @@ def test_tracer_records_newton_and_restores_functions(spans):
         now = vars(owner)
         assert now.keys() == attrs.keys()
         assert all(now[k] is v for k, v in attrs.items()), owner
+
+
+def test_tracer_sees_each_window_and_its_profile_samples(spans, table):
+    # the assembled-window path must keep calling the names the tracer
+    # patches: residual_norms once per window, u0_at for every bump
+    cfg = assembly.diagnostic_chain_cloud(table, 10.0, 3)
+    rows = range(4)
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        for idx in rows:
+            cli._point_row(cfg, idx, table, fields.DELTA_DEFAULT)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["fields.windows"] == len(rows)
+    assert len(tracer.durations("fields.project_force")) == len(rows)
+    assert tracer.counts["fields.scan.within_reach"] >= len(rows)
+    assert tracer.counts["interaction.u0_at.samples"] > 0
