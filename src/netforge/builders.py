@@ -9,7 +9,7 @@ import numpy as np
 from .assembly import Assembly, SubNetwork, singleton_at
 from .balance import balance_nearby, realize_triangle
 from .catalog import n_c, n_v, polygon_center, regular_polygon, triangle
-from .network import Network, NetworkError, edge_key
+from .network import NetworkError, edge_key
 
 
 def example_5_1(k=7):

@@ -3,8 +3,15 @@ pair-interaction quantities.
 
 The profile is computed by shooting and bisection; beyond r_switch the
 stored profile is the matched Bessel tail A*K0(r), which avoids the
-exponentially growing contamination of direct integration. All consumers
-go through an InteractionTable, which can be cached on disk.
+exponentially growing contamination of direct integration.
+
+Upsilon(s) = -integral u0(|z - s e|) G(z) dz with the kernel
+G = f'(u0) u0' <e, z>/|z|, which decays like e^{-3r}. For s >= S_CLOSED
+every shifted bump that G's support sees is on the A*K0 tail, and Graf's
+addition theorem (DLMF 10.44(ii)) leaves Upsilon(s) = -2 A K1(s) C with
+one grid sum C = integral I1(r) <e, z>/|z| G(z) dz. Below S_CLOSED the
+quadrature runs on the grid points with r <= R_SUPPORT only. All
+consumers go through an InteractionTable, which can be cached on disk.
 """
 
 import hashlib
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
-from scipy.special import k0, k1
+from scipy.special import i1, k0, k1
 
 
 @dataclass(frozen=True)
@@ -49,6 +56,11 @@ R_SWITCH = 12.0
 QUAD_EXTENT = 18.0
 QUAD_N = 361
 S_MIN, S_MAX, S_STEP = 2.0, 110.0, 0.5
+# From s = S_CLOSED on, G's points with r <= S_CLOSED - R_SWITCH see only
+# the A*K0 tail; G holds 2e-17 of its mass beyond them, 1e-18 beyond
+# R_SUPPORT.
+S_CLOSED = 25.0
+R_SUPPORT = 14.0
 
 
 def _rhs(nl):
@@ -185,13 +197,25 @@ class InteractionTable:
             raise RuntimeError("interaction strength is not decreasing")
         self._ls = CubicSpline(self.s, self.ln_ups)
         self._lsd = self._ls.derivative()
+        # the spline's range; at s[-1] it can round an ulp off ln_ups[-1]
+        self._ls_lo, self._ls_hi = self._ls(self.s[[-1, 0]])
         # first guess for the inverse of _ls, polished by Newton in alpha_ell
         self._ls_inv = CubicSpline(self.ln_ups[::-1], self.s[::-1])
 
     def _upsilon_quadrature(self, s):
+        """Upsilon at the lengths `s` on the grid of upsilon_direct: the
+        Graf closed form from S_CLOSED on, the quadrature over G's support
+        below it."""
         X, Y, GW = _interaction_kernel(self, (1.0, 0.0), QUAD_N, QUAD_EXTENT)
-        vals = np.array([-np.sum(self.u0_at(np.hypot(X - si, Y)) * GW)
-                         for si in s])
+        R = np.hypot(X, Y)
+        far = s >= S_CLOSED
+        vals = np.empty_like(s)
+        C = np.sum(i1(R) * (X / np.where(R > 0, R, 1.0)) * GW)
+        vals[far] = -2.0 * self.A * k1(s[far]) * C
+        sup = R <= R_SUPPORT
+        X, Y, GW = X[sup], Y[sup], GW[sup]
+        vals[~far] = [-np.sum(self.u0_at(np.hypot(X - si, Y)) * GW)
+                      for si in s[~far]]
         if np.any(vals <= 0):
             raise RuntimeError("nonpositive interaction values")
         return vals
@@ -249,7 +273,7 @@ class InteractionTable:
         ls_ell = self._ls(ell)
         with np.errstate(divide="ignore"):     # a = 0 fails the range test
             target = np.log(np.abs(a)) + ls_ell
-        bad = ~((target >= self.ln_ups[-1]) & (target <= self.ln_ups[0]))
+        bad = ~((target >= self._ls_lo) & (target <= self._ls_hi))
         if np.any(bad):
             raise ValueError(f"alpha_ell target out of tabulated range "
                              f"(a={np.broadcast_to(a, bad.shape)[bad][0]}, "
@@ -318,7 +342,8 @@ def cache_dir():
 
 def table_cache_path(nl=CUBIC, directory=None):
     tag = f"{nl.key}_rmax{R_MAX:g}_dr{DR:g}_rs{R_SWITCH:g}" \
-          f"_q{QUAD_N}x{QUAD_EXTENT:g}_s{S_MIN:g}-{S_MAX:g}-{S_STEP:g}"
+          f"_q{QUAD_N}x{QUAD_EXTENT:g}_s{S_MIN:g}-{S_MAX:g}-{S_STEP:g}" \
+          f"_closed{S_CLOSED:g}_sup{R_SUPPORT:g}"
     digest = hashlib.sha256(tag.encode()).hexdigest()[:12]
     d = directory or cache_dir()
     return os.path.join(d, f"interaction_{nl.key}_{digest}.npz")

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import (is_balanced, is_connected, is_embedded,
-                      is_unitary, total_weight)
+from .network import is_balanced, is_connected, is_embedded, is_unitary
 
 RANK_SAFETY = 1e3
 GAP_CONFIDENT = 10.0

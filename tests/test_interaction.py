@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import k0, k1
 
-from netforge.interaction import (CUBIC, S_MAX, S_MIN, InteractionTable,
-                                  Nonlinearity, build_table, table_cache_path,
-                                  upsilon_direct)
+from netforge.interaction import (CUBIC, S_CLOSED, S_MAX, S_MIN,
+                                  InteractionTable, Nonlinearity, build_table,
+                                  table_cache_path, upsilon_direct)
 
 # frozen reference values for the cubic nonlinearity
 U0_AT_ZERO = 2.206200864681313
@@ -176,6 +176,22 @@ def test_upsilon_spline_matches_direct(table):
         assert float(table.upsilon(s)) == pytest.approx(direct, rel=1e-5)
 
 
+@pytest.mark.parametrize("s", [2.0, 10.0, 24.5, 25.0, 25.5, 40.0, 70.0,
+                               110.0])
+def test_table_matches_full_grid_quadrature(table, s):
+    # the support-limited quadrature below S_CLOSED and the closed form
+    # from S_CLOSED on reproduce the quadrature over the whole grid
+    i = int(np.flatnonzero(table.s == s)[0])
+    assert abs(table.ln_ups[i] - math.log(upsilon_direct(table, s))) <= 1e-11
+
+
+def test_closed_form_beyond_threshold(table):
+    far = table.s >= S_CLOSED
+    assert far.sum() == 171
+    offset = table.ln_ups[far] - np.log(k1(table.s[far]))
+    assert np.ptp(offset) <= 1e-13
+
+
 def test_quadrature_richardson(table):
     vals = [upsilon_direct(table, 10.0, n=n) for n in (91, 181, 361)]
     ratio = (vals[1] - vals[0]) / (vals[2] - vals[1])
@@ -232,8 +248,10 @@ def test_alpha_ell_array_matches_brentq(table, ell, roots):
 
 
 def test_alpha_ell_of_unit_weight_is_exactly_zero(table):
-    # ell may be an array too; 20k lengths catch a root off by one ulp
-    ells = np.random.default_rng(1).uniform(S_MIN, S_MAX, 20000)
+    # ell may be an array too; 20k lengths catch a root off by one ulp, and
+    # the table's ends catch a range test against the stored knot values
+    ells = np.append(np.random.default_rng(1).uniform(S_MIN, S_MAX, 20000),
+                     [S_MIN, S_MAX])
     assert np.all(table.alpha_ell(np.ones_like(ells), ells) == 0.0)
     assert np.all(table.alpha_ell(-np.ones_like(ells), ells) == 0.0)
 

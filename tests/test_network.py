@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_network
 from netforge.network import (Network, NetworkError, bond_forces, edge_key,
@@ -130,6 +132,18 @@ def test_save_load_roundtrip(tmp_path):
     back = load_network(path)
     assert back.vertices == net.vertices
     assert back.weights == net.weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_save_load_roundtrip_random(tmp_path_factory, seed):
+    net = random_network(np.random.default_rng(seed))
+    path = tmp_path_factory.mktemp("net") / "net.json"
+    save_network(net, path)
+    back = load_network(path)
+    assert back.vertices == net.vertices
+    assert back.weights == net.weights
+    assert back.ids == net.ids and back.edges == net.edges
 
 
 def test_load_rejects_garbage(tmp_path):
