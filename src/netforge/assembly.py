@@ -410,11 +410,31 @@ def solve_master(asm, kappa, ell, table, f=None, tol=1e-11, skip_verify=False,
     quantized lengths and the anchored force balance, with the dilation
     directions of the weight and position blocks carried as explicit
     unknowns. Chain counts default to the coordinated quantization, which
-    keeps the targets consistent around master cycles at finite kappa."""
+    keeps the targets consistent around master cycles at finite kappa.
+    Newton runs on the system's analytic Jacobian."""
     if not skip_verify:
         report = verify_assembly(asm)
         if not report.ok:
             raise SolverError(f"assembly conditions fail: {report.failing()}")
+    fun, jac, x0, finish = _master_system(asm, kappa, ell, table, f, m_map)
+    try:
+        x, info = damped_newton(fun, x0, jac=jac, tol=tol, scale=1.0,
+                                maxiter=200, max_step=0.25)
+    except ValueError as exc:    # a trial weight left the alpha_ell table
+        raise SolverError(f"master solve failed: {exc}") from exc
+    if not info.converged:
+        raise SolverError(f"master solve stalled: residual "
+                          f"{info.residual:.3e} at equation "
+                          f"{info.worst_equation}")
+    return finish(x, info)
+
+
+def _master_system(asm, kappa, ell, table, f=None, m_map=None):
+    """The master solve's equations as (fun, jac, x0, finish).
+
+    fun(x) stacks the residual groups (a)-(f), jac(x) is its Jacobian in
+    closed form, x0 the starting point, and finish(x, info) unpacks a
+    solution into a MasterSolveResult."""
     master = asm.master
     n, m = master.n, master.m
     ids = master.ids
@@ -437,12 +457,21 @@ def solve_master(asm, kappa, ell, table, f=None, tol=1e-11, skip_verify=False,
         for r in asm.subs[p].net.ids:
             fv[(p, r)] = complex(f.get((p, r), 0)) if f else 0j
 
+    # The master block x[:nm] moves the master positions (x, y
+    # interleaved) and weights by the affine maps pvec + dP x[:nm] and
+    # avec + dA x[:nm]: their null-space directions, then the dilation
+    # rates cdot and ddot.
     pvec = np.array([c for v in ids for c in (master.vertices[v].real,
                                               master.vertices[v].imag)])
     avec = np.array([master.weights[e] for e in edges])
-    Qp = null_space(pvec[None, :])
-    Qa = null_space(avec[None, :])
     nm = 2 * n + m               # reparametrized master block size
+    dP = np.zeros((2 * n, nm))
+    dP[:, :2 * n - 1] = null_space(pvec[None, :])
+    dP[:, nm - 2] = -(2 * ell - 1) / 2 * pvec
+    dP[:, nm - 1] = pvec
+    dA = np.zeros((m, nm))
+    dA[:, 2 * n - 1:nm - 2] = null_space(avec[None, :])
+    dA[:, nm - 2] = -ell ** 2 * avec
 
     # Sub-network unknowns follow the master block, e and t: per master
     # vertex in canonical order, the sub's positions (x, y interleaved)
@@ -469,43 +498,40 @@ def solve_master(asm, kappa, ell, table, f=None, tol=1e-11, skip_verify=False,
         off += 2 * net.n + net.m
     N = off
     pos_at, w_at = np.array(pos_at, dtype=int), np.array(w_at, dtype=int)
-    eu, ev = np.array(eu, dtype=int), np.array(ev, dtype=int)
     owner = np.array(owner, dtype=int)
     n_sub_edges = len(eu)
     # master edge (p, q): its endpoints and the anchors at either end
     index = master.index()
     mp = np.array([index[p] for p, q in edges], dtype=int)
     mq = np.array([index[q] for p, q in edges], dtype=int)
-    ap = np.array([vert[(p, asm.subs[p].anchors[q])] for p, q in edges],
-                  dtype=int)
-    aq = np.array([vert[(q, asm.subs[q].anchors[p])] for p, q in edges],
-                  dtype=int)
+    ap = [vert[(p, asm.subs[p].anchors[q])] for p, q in edges]
+    aq = [vert[(q, asm.subs[q].anchors[p])] for p, q in edges]
     # bonds (sub edges, then master edges) pull their first end toward
     # their second end and the second end back
-    first = np.concatenate([eu, ap])
-    second = np.concatenate([ev, aq])
+    first = np.array(eu + ap, dtype=int)
+    second = np.array(ev + aq, dtype=int)
     twice_m = 2 * np.array([m_map[ek] for ek in edges], dtype=float)
     zv = np.array([master.vertices[v] for v in ids])
     fvec = np.array([fv[key] for key in vert], dtype=complex)
     sub_n = np.array([asm.subs[p].net.n for p in ids], dtype=float)
 
     def unpack(x):
-        phi_perp = x[:2 * n - 1]
-        w_perp = x[2 * n - 1:nm - 2]
-        cdot, ddot = x[nm - 2], x[nm - 1]
-        pv = pvec + Qp @ phi_perp + (ddot - (2 * ell - 1) * cdot / 2) * pvec
-        av = avec + Qa @ w_perp - cdot * ell ** 2 * avec
+        pv = pvec + dP @ x[:nm]
         phi = pv[0::2] + 1j * pv[1::2]
         spos = x[pos_at] + 1j * x[pos_at + 1]
-        return phi, av, complex(x[nm], x[nm + 1]), x[nm + 2], spos, x[w_at]
+        return (phi, avec + dA @ x[:nm], complex(x[nm], x[nm + 1]),
+                x[nm + 2], spos, x[w_at])
+
+    def bond_vectors(phi, spos):
+        # sub edges, then master-edge anchor gaps
+        d = spos[second] - spos[first]
+        d[n_sub_edges:] += kappa * (phi[mq] - phi[mp])
+        return d
 
     def residual_groups(phi, aw, e_vec, t, spos, sw):
         weights = np.concatenate([sw, aw])
         one_m_alpha = 1.0 - table.alpha_ell(weights, ell)
-        # bond vectors: sub edges, then master-edge anchor gaps
-        d = np.concatenate([spos[ev] - spos[eu],
-                            (kappa * phi[mq] + spos[aq])
-                            - (kappa * phi[mp] + spos[ap])])
+        d = bond_vectors(phi, spos)
         length = np.abs(d)
         # (a) sub edge lengths, (b) quantized lengths of master edges
         ra = length[:n_sub_edges] - one_m_alpha[:n_sub_edges]
@@ -525,36 +551,91 @@ def solve_master(asm, kappa, ell, table, f=None, tol=1e-11, skip_verify=False,
         ra, rb, rcd, re_, rf = residual_groups(*unpack(x))
         return np.concatenate([ra, rb / kappa, rcd, re_, rf])
 
+    # Jacobian. Bond b has five rows: its length row b in (a)/(b) and the
+    # x, y force rows of its first and second ends in (c)/(d). Its bond
+    # vector d moves with the x, y of both ends' sub positions (local
+    # columns) and, for a master edge, with kappa times its master
+    # endpoints' offset (master block, through dP). Its weight is one
+    # column for a sub edge and a row of dA for a master edge.
+    cd = n_sub_edges + m         # first row of (c)/(d)
+    rows = np.column_stack([np.arange(len(first)),
+                            cd + 2 * first, cd + 2 * first + 1,
+                            cd + 2 * second, cd + 2 * second + 1])
+    cols = np.column_stack([pos_at[first], pos_at[first] + 1,
+                            pos_at[second], pos_at[second] + 1])
+    sparse_rows = np.concatenate([
+        np.broadcast_to(rows[:, :, None], rows.shape + (4,)).ravel(),
+        rows[:n_sub_edges].ravel()])
+    sparse_cols = np.concatenate([
+        np.broadcast_to(cols[:, None, :], rows.shape + (4,)).ravel(),
+        np.repeat(w_at, 5)])
+    row_scale = np.concatenate([np.ones(n_sub_edges), np.full(m, 1 / kappa)])
+    dw_scale = row_scale * np.concatenate([np.ones(n_sub_edges), twice_m])
+    # d(x, y of a master edge's bond vector)/d(master block): (m, 2, nm)
+    dd_master = kappa * (dP[2 * mq[:, None] + [0, 1]]
+                         - dP[2 * mp[:, None] + [0, 1]])
+    # the e, t columns of (c)/(d) and the rows (e), (f) are constant
+    J0 = np.zeros((N, N))
+    vrow = cd + 2 * np.arange(len(owner))
+    J0[vrow, nm] = J0[vrow + 1, nm + 1] = -1.0 / sub_n[owner]
+    J0[vrow, nm + 2] = zv[owner].imag / sub_n[owner]
+    J0[vrow + 1, nm + 2] = -zv[owner].real / sub_n[owner]
+    erow = cd + 2 * len(owner) + 2 * owner
+    J0[erow, pos_at] = J0[erow + 1, pos_at + 1] = 1.0
+    J0[N - 3] = np.pad(dP[0::2].sum(axis=0), (0, N - nm))
+    J0[N - 2] = np.pad(dP[1::2].sum(axis=0), (0, N - nm))
+    J0[N - 1] = np.pad(zv.real @ dP[1::2] - zv.imag @ dP[0::2], (0, N - nm))
+
+    def jac(x):
+        phi, aw, _e, _t, spos, sw = unpack(x)
+        weights = np.concatenate([sw, aw])
+        d = bond_vectors(phi, spos)
+        length = np.abs(d)
+        u = np.column_stack([d.real, d.imag]) / length[:, None]
+        # force w u: d/dd = w (I - u u^T)/|d|, d/dw = u
+        K = (weights / length)[:, None, None] * (
+            np.eye(2) - u[:, :, None] * u[:, None, :])
+        # row b: d|d|/dd = u, and d(1 - alpha)/dw = -dalpha_da
+        by_d = np.concatenate([(row_scale[:, None] * u)[:, None, :],
+                               K, -K], axis=1)              # (bonds, 5, 2)
+        by_w = np.column_stack([dw_scale * table.dalpha_da(weights, ell),
+                                u, -u])                      # (bonds, 5)
+        # d = second - first: columns first x, y, second x, y
+        local = np.tile(by_d, 2) * [-1, -1, 1, 1]
+        J = J0.copy()
+        np.add.at(J, (sparse_rows, sparse_cols),
+                  np.concatenate([local.ravel(), by_w[:n_sub_edges].ravel()]))
+        master_rows = (by_d[n_sub_edges:] @ dd_master
+                       + by_w[n_sub_edges:, :, None] * dA[:, None, :])
+        np.add.at(J[:, :nm], rows[n_sub_edges:].ravel(),
+                  master_rows.reshape(-1, nm))
+        return J
+
     x0 = np.zeros(N)
     x0[nm - 1] = mu0 - 1.0       # seed the dilation at the quantized scale
     spos0 = np.array([asm.subs[p].net.vertices[r] for p, r in vert])
     x0[pos_at] = spos0.real
     x0[pos_at + 1] = spos0.imag
     x0[w_at] = [asm.subs[p].net.weights[ek] for p, ek in sub_edges]
-    try:
-        x, info = damped_newton(fun, x0, tol=tol, scale=1.0, maxiter=200,
-                                max_step=0.25)
-    except ValueError as exc:    # a trial weight left the alpha_ell table
-        raise SolverError(f"master solve failed: {exc}") from exc
-    if not info.converged:
-        raise SolverError(f"master solve stalled: residual "
-                          f"{info.residual:.3e} at equation "
-                          f"{info.worst_equation}")
-    phi, aw, e_vec, t, spos, sw = unpack(x)
-    groups = residual_groups(phi, aw, e_vec, t, spos, sw)
-    res = {name: float(np.max(np.abs(vals), initial=0.0))
-           for name, vals in zip(("a", "b", "cd", "e", "f"), groups)}
-    sub_positions = {p: {} for p in ids}
-    for (p, r), z in zip(vert, spos.tolist()):
-        sub_positions[p][r] = z
-    sub_weights = {p: {} for p in ids}
-    for (p, ek), w in zip(sub_edges, sw.tolist()):
-        sub_weights[p][ek] = w
-    return MasterSolveResult(asm, kappa, ell, m_map,
-                             dict(zip(ids, phi.tolist())),
-                             dict(zip(edges, aw.tolist())),
-                             sub_positions, sub_weights, e_vec, float(t),
-                             res, info, fv)
+
+    def finish(x, info):
+        phi, aw, e_vec, t, spos, sw = unpack(x)
+        groups = residual_groups(phi, aw, e_vec, t, spos, sw)
+        res = {name: float(np.max(np.abs(vals), initial=0.0))
+               for name, vals in zip(("a", "b", "cd", "e", "f"), groups)}
+        sub_positions = {p: {} for p in ids}
+        for (p, r), z in zip(vert, spos.tolist()):
+            sub_positions[p][r] = z
+        sub_weights = {p: {} for p in ids}
+        for (p, ek), w in zip(sub_edges, sw.tolist()):
+            sub_weights[p][ek] = w
+        return MasterSolveResult(asm, kappa, ell, m_map,
+                                 dict(zip(ids, phi.tolist())),
+                                 dict(zip(edges, aw.tolist())),
+                                 sub_positions, sub_weights, e_vec, float(t),
+                                 res, info, fv)
+
+    return fun, jac, x0, finish
 
 
 # --- point cloud -----------------------------------------------------------

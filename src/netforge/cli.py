@@ -50,11 +50,14 @@ class RunManifest:
     outputs: list
     version: str = __version__
     wall_time: float = 0.0
+    solver: dict | None = None   # Newton trace of the commands that solve
 
     def write(self, path):
         obj = {"command": self.command, "inputs": self.inputs,
                "parameters": self.parameters, "outputs": self.outputs,
                "version": self.version, "wall_time": self.wall_time}
+        if self.solver is not None:
+            obj["solver"] = self.solver
         with open(path, "w") as fh:
             json.dump(obj, fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -251,6 +254,10 @@ def cmd_configure(args):
                        "ell": args.ell, "kappa": args.kappa,
                        "delta": args.delta, "tol_newton": args.tol_newton},
                       [args.out, report_path])
+    info = result.info
+    man.solver = {"iterations": info.iterations,
+                  "fun_evals": info.fun_evals, "jac_evals": info.jac_evals,
+                  "residual_history": info.history}
     man.wall_time = time.perf_counter() - start
     man.write(_manifest_path(args.out))
     if nb.violations or nb.degree_mismatches:
@@ -340,7 +347,7 @@ def cmd_assemble(args):
         if first_window is None:
             first_window = window
     threshold = 0.05 * ups
-    worst = 0.0
+    gated = []
     seen = {r["index"]: r for r in rows}
     for idx in _midchain_indices(config):
         if idx in seen:
@@ -349,8 +356,11 @@ def cmd_assemble(args):
             _, row = _point_row(config, idx, table, args.delta)
             rows.append(row)
         row["gated"] = True
-        worst = max(worst, float(np.hypot(*row["projection"])))
-    gate_pass = not (worst > threshold)  # vacuously true without chains
+        gated.append(np.hypot(*row["projection"]))
+    # a NaN projection or threshold fails; vacuously true without chains
+    worst = float(np.max(gated, initial=0.0))
+    gate_pass = bool(np.isfinite(threshold) and np.isfinite(worst)
+                     and worst <= threshold)
     sup_max = max((r["sup_norm"] for r in rows), default=0.0)
     decay = (-float(np.log(sup_max * np.sqrt(args.ell))) / args.ell
              if sup_max > 0 else float("inf"))

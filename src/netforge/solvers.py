@@ -19,6 +19,8 @@ class NewtonInfo:
     converged: bool
     worst_equation: int = -1
     history: list = field(default_factory=list)  # max|f| per accepted step
+    fun_evals: int = 0           # calls of fun, finite differences included
+    jac_evals: int = 0           # Jacobians formed, analytic or FD
 
 
 def fd_jacobian(fun, x, f0=None, step=1e-7):
@@ -41,17 +43,24 @@ def damped_newton(fun, x0, jac=None, tol=1e-11, scale=1.0, maxiter=100,
     Convergence: max|fun(x)| < tol * scale. Returns (x, NewtonInfo); its
     history holds max|fun| at the start and after each accepted step.
     A sparse Jacobian from `jac` is factorised with splu, a dense one
-    solved directly (least squares when it is not square). max_step caps
-    the sup-norm of each Newton step, which keeps the iteration inside
-    the basin when the Jacobian has a soft mode.
+    solved directly (least squares when it is not square); without `jac`
+    each step takes a forward-difference Jacobian, len(x) more calls of
+    fun. max_step caps the sup-norm of each Newton step, which keeps the
+    iteration inside the basin when the Jacobian has a soft mode.
     """
     x = np.asarray(x0, dtype=float).copy()
     f = fun(x)
+    fun_evals, jac_evals = 1, 0
     best = float(np.max(np.abs(f))) if f.size else 0.0
     history = [best]
     it = 0
     while best >= tol * scale and it < maxiter:
-        J = jac(x) if jac is not None else fd_jacobian(fun, x, f, fd_step)
+        if jac is not None:
+            J = jac(x)
+        else:
+            J = fd_jacobian(fun, x, f, fd_step)
+            fun_evals += len(x)
+        jac_evals += 1
         try:
             if issparse(J):
                 dx = splu(J.tocsc()).solve(-f)
@@ -72,6 +81,7 @@ def damped_newton(fun, x0, jac=None, tol=1e-11, scale=1.0, maxiter=100,
         for _ in range(40):
             xt = x + lam * dx
             ft = fun(xt)
+            fun_evals += 1
             if np.max(np.abs(ft)) < best * (1.0 - 0.25 * lam * frac) or \
                np.max(np.abs(ft)) < tol * scale:
                 x, f = xt, ft
@@ -81,10 +91,10 @@ def damped_newton(fun, x0, jac=None, tol=1e-11, scale=1.0, maxiter=100,
                 break
             lam *= 0.5
         if not accepted:
-            info = NewtonInfo(best, it, False, int(np.argmax(np.abs(f))),
-                              history)
-            return x, info
+            return x, NewtonInfo(best, it, False, int(np.argmax(np.abs(f))),
+                                 history, fun_evals, jac_evals)
         it += 1
     converged = best < tol * scale
     worst = int(np.argmax(np.abs(f))) if f.size else -1
-    return x, NewtonInfo(best, it, converged, worst, history)
+    return x, NewtonInfo(best, it, converged, worst, history, fun_evals,
+                         jac_evals)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netforge.assembly import (Assembly, CloudPoint, Configuration,
-                               SubNetwork, chain_correct, chain_matrix,
-                               chain_matrix_inverse, coordinate_quantization,
+                               SubNetwork, _master_system, chain_correct,
+                               chain_matrix, chain_matrix_inverse,
+                               coordinate_quantization,
                                diagnostic_chain_cloud, generate_cloud,
                                load_assembly, load_cloud, neighbor_graph,
                                save_assembly, save_cloud,
@@ -15,7 +16,7 @@ from netforge.assembly import (Assembly, CloudPoint, Configuration,
 from netforge.builders import example_5_1, example_5_2, n_c_assembly
 from netforge.catalog import polygon_center, regular_polygon
 from netforge.network import Network, NetworkError
-from netforge.solvers import SolverError
+from netforge.solvers import SolverError, damped_newton, fd_jacobian
 
 
 def test_verify_catalog_assemblies():
@@ -120,12 +121,94 @@ def test_solve_master_rejects_failing_assembly(table):
 def test_solve_master_reports_weights_leaving_the_table(table):
     # at the table's shortest length a trial weight just above 1 in
     # magnitude has no alpha_ell; the solve fails instead of crashing
-    with pytest.raises(SolverError, match="tabulated range"):
-        solve_master(example_5_1(7), 64.0, 2.0, table)
+    # (k = 8: a Newton iterate reaches |a| = 1.0024; k = 6 fails the
+    # ray-separation condition before the solve starts)
+    with pytest.raises(SolverError, match="master solve failed: .*"
+                                          "tabulated range"):
+        solve_master(example_5_1(8), 64.0, 2.0, table)
     # at the longest, the master weights below 1 have none either, which
     # the chain quantization meets before the Newton solve starts
     with pytest.raises(SolverError, match="chain quantization failed"):
         solve_master(example_5_1(7), 64.0, 110.0, table)
+
+
+def test_solve_master_at_shortest_length(table):
+    # k = 7 stays inside the table at ell = 2: every weight keeps |w| <= 1
+    res = solve_master(example_5_1(7), 64.0, 2.0, table)
+    assert res.info.converged
+    for key, val in res.residuals.items():
+        assert val < 1e-11, (key, val)
+    weights = list(res.master_weights.values()) + [
+        w for sw in res.sub_weights.values() for w in sw.values()]
+    assert max(abs(w) for w in weights) <= 1.0
+
+
+@st.composite
+def master_systems(draw):
+    """(assembly, kappa, ell) over ex51 (ring weights -1) and perturbed
+    n_c assemblies (the smallest master weight is -1)."""
+    kappa = draw(st.sampled_from([48.0, 64.0, 1024.0]))
+    ell = draw(st.floats(9.0, 11.0))
+    if draw(st.booleans()):
+        asm = example_5_1(draw(st.sampled_from([7, 8, 9])))
+    else:
+        asm = n_c_assembly(perturbation=0.02,
+                           seed=draw(st.integers(0, 2 ** 16)))
+    return asm, kappa, ell
+
+
+@settings(max_examples=30, deadline=None)
+@given(master_systems(), st.integers(0, 2 ** 32 - 1))
+def test_master_jacobian_matches_finite_differences(table, system, seed):
+    asm, kappa, ell = system
+    fun, jac, x0, _ = _master_system(asm, kappa, ell, table)
+    rng = np.random.default_rng(seed)
+    for x in (x0, x0 + rng.normal(0.0, 1e-3, len(x0))):
+        # at the default step 1e-7 the forward differences' own
+        # truncation error reaches 8e-6 of a row's scale (the dilation
+        # column moves the weights by ell^2 each); at 1e-8 it stays
+        # below 1e-6
+        J, J_fd = jac(x), fd_jacobian(fun, x, step=1e-8)
+        assert J.shape == J_fd.shape == (len(x0), len(x0))
+        row_scale = np.max(np.abs(J), axis=1)
+        assert np.all(np.abs(J - J_fd) <= 1e-5 * row_scale[:, None])
+
+
+@pytest.mark.parametrize("asm, kappa", [
+    (example_5_1(7), 64.0), (example_5_1(9), 1024.0),
+    (n_c_assembly(perturbation=0.02, seed=1), 64.0)])
+def test_master_solve_same_with_fd_jacobian(table, asm, kappa):
+    fun, jac, x0, finish = _master_system(asm, kappa, 10.0, table)
+    opts = dict(tol=1e-11, maxiter=200, max_step=0.25)
+    x, info = damped_newton(fun, x0, jac=jac, **opts)
+    x_fd, info_fd = damped_newton(fun, x0, **opts)
+    assert info.converged and info_fd.converged
+    assert info.iterations == info_fd.iterations
+    res, res_fd = finish(x, info), finish(x_fd, info_fd)
+    for key in res.master_weights:
+        assert abs(res.master_weights[key]
+                   - res_fd.master_weights[key]) <= 1e-10
+    for key in res.master_positions:
+        assert abs(res.master_positions[key]
+                   - res_fd.master_positions[key]) <= 1e-10
+    for p in res.sub_weights:
+        for key in res.sub_weights[p]:
+            assert abs(res.sub_weights[p][key]
+                       - res_fd.sub_weights[p][key]) <= 1e-10
+        for key in res.sub_positions[p]:
+            assert abs(res.sub_positions[p][key]
+                       - res_fd.sub_positions[p][key]) <= 1e-10
+
+
+def test_master_solve_evaluation_budget(table):
+    # one Jacobian per Newton step and no finite differences: ex51 takes
+    # 12 steps and 37 residual evaluations (the backtracking line search
+    # tries 3 points per step on average); an FD Jacobian would add 68
+    # evaluations per step
+    info = solve_master(example_5_1(7), 64.0, 10.0, table).info
+    assert info.converged
+    assert info.jac_evals == info.iterations == 12
+    assert info.fun_evals <= 3 * info.iterations + 1
 
 
 def _cloud_51(table):

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -70,10 +71,11 @@ def test_configure_failing_assembly_exits_3(tmp_path, cache_env):
 
 def test_configure_at_shortest_length_exits_1(tmp_path, cache_env):
     # --ell 2 is accepted (it is the table's shortest length), but no
-    # weight of magnitude above 1 has a length correction there, so the
-    # master solve fails: exit 1 with a message, not a traceback
+    # weight of magnitude above 1 has a length correction there; at k = 8
+    # a Newton iterate reaches one, so the master solve fails: exit 1
+    # with a message, not a traceback
     cloud = tmp_path / "cloud.csv"
-    r = run_cli(["configure", "--catalog", "example_5_1", "--k", "7",
+    r = run_cli(["configure", "--catalog", "example_5_1", "--k", "8",
                  "--ell", "2", "--out", str(cloud)], tmp_path, cache_env)
     assert r.returncode == 1, r.stderr
     assert r.stderr.startswith("configure: ")
@@ -107,6 +109,12 @@ def test_configure_assemble_plot_pipeline(tmp_path, cache_env):
     assert report["band_violations"] == []
     assert report["degree_mismatches"] == []
     assert max(report["condition_residuals"].values()) < 1e-9
+    solver = json.loads(
+        (tmp_path / "cloud.csv.manifest.json").read_text())["solver"]
+    assert solver["jac_evals"] == solver["iterations"] >= 1
+    assert solver["fun_evals"] >= solver["iterations"] + 1
+    assert len(solver["residual_history"]) == solver["iterations"] + 1
+    assert solver["residual_history"][-1] < 1e-11
 
     diag = tmp_path / "diag.json"
     r2 = run_cli(["assemble", str(cloud), "--ell", "10",
@@ -147,6 +155,37 @@ def test_assemble_is_deterministic(tmp_path, cache_env):
                     tmp_path, cache_env)
         assert r.returncode == 0, r.stderr
     assert d1.read_bytes() == d2.read_bytes()
+
+
+def test_assemble_gate_fails_on_nan_projection(tmp_path, cache_env):
+    # a NaN mid-chain point gives a NaN projection, which must fail the
+    # gate rather than drop out of the worst-projection maximum
+    cloud = tmp_path / "cloud.csv"
+    r = run_cli(["configure", "--catalog", "example_5_1", "--k", "7",
+                 "--kappa", "64", "--ell", "10", "--out", str(cloud)],
+                tmp_path, cache_env)
+    assert r.returncode == 0, r.stderr
+    lines = cloud.read_text().splitlines()
+    chain = {}                                   # j -> point index
+    for i, line in enumerate(lines[1:]):
+        prov = line.split(",", 3)[3]
+        if prov.startswith("chain:c:v0:"):
+            chain[int(prov.rsplit(":", 1)[1])] = i
+    mid = chain[(max(chain) + 1) // 2]           # j = m of 2m - 1 points
+    x, y, sign, prov = lines[mid + 1].split(",", 3)
+    lines[mid + 1] = f"nan,nan,{sign},{prov}"
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    diag = tmp_path / "diag.json"
+    r = run_cli(["assemble", str(bad), "--ell", "10", "--windows", str(mid),
+                 "--out", str(diag)], tmp_path, cache_env)
+    assert r.returncode == 1, r.stderr
+    assert "gate FAIL" in r.stdout
+    obj = json.loads(diag.read_text())
+    assert obj["gate"]["pass"] is False
+    row = next(p for p in obj["points"] if p["index"] == mid)
+    assert row["gated"] is True
+    assert all(math.isnan(v) for v in row["projection"])
 
 
 def test_plot_empty_cloud(tmp_path, cache_env):

@@ -35,6 +35,23 @@ def test_fd_jacobian_matches_analytic():
     assert np.max(np.abs(J - exact)) < 1e-6
 
 
+def test_evaluation_counts():
+    # every step of a linear system is taken in full: one trial point per
+    # step after the start, and with finite differences one more call
+    # per unknown (their rounding leaves a second step to take)
+    A = np.array([[2.0, 1.0], [0.5, 3.0]])
+    b = np.array([1.0, -2.0])
+
+    def fun(x):
+        return A @ x - b
+
+    _, info = damped_newton(fun, np.zeros(2), jac=lambda x: A)
+    assert (info.iterations, info.jac_evals, info.fun_evals) == (1, 1, 2)
+    _, info = damped_newton(fun, np.zeros(2))
+    assert info.converged and info.jac_evals == info.iterations
+    assert info.fun_evals == 1 + info.iterations * (2 + 1)
+
+
 def test_overdetermined_least_squares():
     # three consistent equations in two unknowns
     def fun(x):
