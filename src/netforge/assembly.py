@@ -6,8 +6,10 @@ algebra."""
 import cmath
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import null_space
@@ -640,16 +642,37 @@ def _master_system(asm, kappa, ell, table, f=None, m_map=None):
 
 # --- point cloud -----------------------------------------------------------
 
-@dataclass
-class CloudPoint:
+class CloudPoint(NamedTuple):
+    """One point of a cloud, as `Configuration.points` lists it."""
     z: complex
     sign: int
     provenance: str
 
 
+class CloudPoints(Sequence):
+    """Read-only view of a Configuration point by point: its length is
+    the point count, and item i, the CloudPoint of point i, is built when
+    it is read."""
+
+    def __init__(self, config):
+        self._config = config
+
+    def __len__(self):
+        return len(self._config.positions)
+
+    def __getitem__(self, i):
+        c = self._config
+        return CloudPoint(c.positions[i].item(), c.signs[i].item(),
+                          c.provenance[i])
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 class CloudIndex:
-    """Positions and signs of a cloud's points as arrays, and a KD-tree
-    over the (x, y) of its finite points.
+    """A KD-tree over the (x, y) of a cloud's finite points.
 
     Queries return candidates: every point the radius reaches and perhaps
     a few just beyond it, in ascending index order. Callers re-apply their
@@ -657,29 +680,25 @@ class CloudIndex:
     rounds distances. Points at non-finite positions pass no distance
     test and are left out of the tree."""
 
-    def __init__(self, points):
-        self.positions = np.array([pt.z for pt in points], dtype=complex)
-        self.signs = np.array([pt.sign for pt in points], dtype=int)
-        self.positions.flags.writeable = False
-        self.signs.flags.writeable = False
-        finite = np.isfinite(self.positions)
+    def __init__(self, positions):
+        finite = np.isfinite(positions)
         self._ids = np.flatnonzero(finite)
-        xy = np.column_stack([self.positions.real[finite],
-                              self.positions.imag[finite]])
+        xy = np.column_stack([positions.real[finite],
+                              positions.imag[finite]])
         self.tree = cKDTree(xy)
         # radius slack: many times the rounding of a distance computed
         # from these coordinates
         self._slack = 1e-9 * (1.0 + float(np.max(np.abs(xy), initial=0.0)))
 
     def near(self, center, r):
-        """Candidate indices of the points within r of the complex
-        center."""
+        """Candidate indices (an int array) of the points within r of the
+        complex center."""
         c = complex(center)
         if not cmath.isfinite(c):
-            return []
+            return self._ids[:0]
         hits = self.tree.query_ball_point((c.real, c.imag), r + self._slack,
                                           return_sorted=True)
-        return self._ids[hits].tolist()
+        return self._ids[hits]
 
     def pairs(self, r):
         """Candidate index pairs (i < j) at distance <= r, as a (k, 2)
@@ -689,44 +708,68 @@ class CloudIndex:
         return ij[np.lexsort((ij[:, 1], ij[:, 0]))]
 
 
-@dataclass
+@dataclass(eq=False)
 class Configuration:
-    points: list
+    """A point cloud as arrays, one entry per point: complex `positions`,
+    int `signs` (+-1) and `provenance` labels, plus what generation knew.
+    `expected_degree[i]` is the near-neighbor count point i should have,
+    or -1 where it is not known (all -1 when not given). The arrays are
+    read-only copies of what the constructor is given."""
+    positions: np.ndarray
+    signs: np.ndarray
+    provenance: list
     ell: float
     kappa: float = 0.0
     m_map: dict = field(default_factory=dict)
     lambda_master: dict = field(default_factory=dict)
     lambda_sub: dict = field(default_factory=dict)
-    expected_degree: dict = field(default_factory=dict)  # index -> int
+    expected_degree: np.ndarray = None
+
+    def __post_init__(self):
+        self.positions = _read_only(np.array(self.positions, dtype=complex,
+                                             ndmin=1))
+        self.signs = _read_only(np.array(self.signs, dtype=int, ndmin=1))
+        self.provenance = list(self.provenance)
+        expected = (np.full(len(self.positions), -1)
+                    if self.expected_degree is None else self.expected_degree)
+        self.expected_degree = _read_only(np.array(expected, dtype=int,
+                                                   ndmin=1))
+
+    @property
+    def points(self):
+        """The points as a read-only sequence of CloudPoint."""
+        return CloudPoints(self)
 
     @cached_property
     def index(self):
-        """The CloudIndex of `points`, built on first use and kept: a
-        configuration's points do not change once it is queried."""
-        return CloudIndex(self.points)
+        """The CloudIndex of `positions`, built on first use and kept."""
+        return CloudIndex(self.positions)
 
 
 def generate_cloud(result, table, eta=None):
+    """The point cloud of a solved assembly: every sub-network vertex at
+    ell (kappa P_p + z_r), then each master edge's 2m - 1 chain points
+    spaced ell - lambda_e from its p-side anchor toward its q-side one."""
     asm = result.assembly
     ell, kappa = result.ell, result.kappa
     if eta is None:
         eta, witness = solve_signs(asm)
         if eta is None:
             raise SolverError(f"sign conditions unsatisfiable: {witness}")
-    points = []
-    expected = {}
+    sub_z, sub_signs, provenance, sub_expected = [], [], [], []
     for p in asm.master.ids:
         sub = asm.subs[p]
         anchored = {}
         for q, r in sub.anchors.items():
             anchored[r] = anchored.get(r, 0) + 1
         for r in sub.net.ids:
-            z = ell * (kappa * result.master_positions[p]
-                       + result.sub_positions[p][r])
+            sub_z.append(ell * (kappa * result.master_positions[p]
+                                + result.sub_positions[p][r]))
+            sub_signs.append(eta[p][r])
             kind = "anchor" if r in anchored else "internal"
-            expected[len(points)] = (len(sub.net.neighbors(r))
-                                     + anchored.get(r, 0))
-            points.append(CloudPoint(z, eta[p][r], f"{kind}:{p}:{r}"))
+            provenance.append(f"{kind}:{p}:{r}")
+            sub_expected.append(len(sub.net.neighbors(r))
+                                + anchored.get(r, 0))
     sub_edges = [(p, ek) for p in asm.master.ids
                  for ek in result.sub_weights[p]]
     weights = ([result.sub_weights[p][ek] for p, ek in sub_edges]
@@ -734,68 +777,101 @@ def generate_cloud(result, table, eta=None):
     lams = (ell * table.alpha_ell(np.array(weights), ell)).tolist()
     lam_sub = dict(zip(sub_edges, lams))
     lam_master = dict(zip(asm.master.edges, lams[len(sub_edges):]))
+    positions = [np.array(sub_z, dtype=complex)]
+    signs = [np.array(sub_signs, dtype=int)]
+    expected = [np.array(sub_expected, dtype=int)]
     for ek in asm.master.edges:
         p, q = ek
-        aw = result.master_weights[ek]
-        lam = lam_master[ek]
         ap = ell * (kappa * result.master_positions[p]
                     + result.sub_positions[p][asm.subs[p].anchors[q]])
         aq = ell * (kappa * result.master_positions[q]
                     + result.sub_positions[q][asm.subs[q].anchors[p]])
         e_pq = (aq - ap) / abs(aq - ap)
         eta0 = eta[p][asm.subs[p].anchors[q]]
-        mm = result.m_map[ek]
-        for j in range(1, 2 * mm):
-            z = ap + j * (ell - lam) * e_pq
-            sign = eta0 * ((-1) ** j if aw < 0 else 1)
-            expected[len(points)] = 2
-            points.append(CloudPoint(z, sign, f"chain:{p}:{q}:{j}"))
-    return Configuration(points, ell, kappa, dict(result.m_map),
-                         lam_master, lam_sub, expected)
+        j = np.arange(1, 2 * result.m_map[ek])
+        positions.append(ap + (j * (ell - lam_master[ek])) * e_pq)
+        # the chain of a negative edge alternates its signs
+        signs.append(eta0 * (1 - 2 * (j % 2)) if result.master_weights[ek] < 0
+                     else np.full(len(j), eta0))
+        provenance.extend([f"chain:{p}:{q}:{i}" for i in j.tolist()])
+        expected.append(np.full(len(j), 2))
+    return Configuration(np.concatenate(positions), np.concatenate(signs),
+                         provenance, ell, kappa, dict(result.m_map),
+                         lam_master, lam_sub, np.concatenate(expected))
+
+
+CLOUD_HEADER = "x,y,sign,provenance"
 
 
 def save_cloud(config, path):
+    """Write the cloud as CSV: x and y with 17 significant digits (enough
+    to read back every double exactly), sign, provenance."""
+    n = len(config.positions)
+    cells = [None] * (4 * n)
+    cells[0::4] = config.positions.real.tolist()
+    cells[1::4] = config.positions.imag.tolist()
+    cells[2::4] = config.signs.tolist()
+    cells[3::4] = config.provenance
     with open(path, "w") as fh:
-        fh.write("x,y,sign,provenance\n")
-        for pt in config.points:
-            fh.write(f"{pt.z.real:.17g},{pt.z.imag:.17g},"
-                     f"{pt.sign:d},{pt.provenance}\n")
+        fh.write(CLOUD_HEADER + "\n")
+        fh.write(("%.17g,%.17g,%d,%s\n" * n) % tuple(cells))
 
 
 def load_cloud(path, ell):
-    points = []
+    """Read a cloud CSV written by save_cloud. Lines are stripped and blank
+    ones skipped; a provenance may hold commas. Each line goes straight
+    into the columns, which keeps the transient memory of a large cloud
+    at about that of its arrays."""
+    x, y, signs, provenance = [], [], [], []
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != "x,y,sign,provenance":
+        if header != CLOUD_HEADER:
             raise NetworkError(f"unexpected cloud header {header!r}")
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            x, y, s, prov = line.split(",", 3)
-            points.append(CloudPoint(complex(float(x), float(y)),
-                                     int(s), prov))
-    return Configuration(points, ell)
+            xs, ys, s, prov = line.split(",", 3)
+            x.append(float(xs))
+            y.append(float(ys))
+            signs.append(int(s))
+            provenance.append(prov)
+    positions = np.empty(len(x), dtype=complex)
+    positions.real = x
+    positions.imag = y
+    return Configuration(positions, signs, provenance, ell)
 
 
 # --- closest neighbors ------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class NeighborReport:
-    neighbors: list              # index -> sorted list of near indices
+    near_pairs: np.ndarray       # (k, 2) near index pairs i < j, sorted
     violations: list             # (i, j, distance) outside both bands
     degree_mismatches: list      # (i, expected, got)
+    size: int                    # number of points
 
     @property
     def ok(self):
         return not self.violations and not self.degree_mismatches
+
+    @cached_property
+    def neighbors(self):
+        """index -> sorted list of near indices, built on first use (in
+        pair order each list gets its smaller partners, then its larger
+        ones, each ascending)."""
+        neighbors = [[] for _ in range(self.size)]
+        for a, b in self.near_pairs.tolist():
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+        return neighbors
 
 
 def neighbor_graph(config, C=None, delta=0.05):
     """Classify all pairwise distances into the near band |d - ell| <= C or
     the far band d >= (1+delta) ell; anything in between is a violation.
     Near-neighbor counts are checked against the generation-time expected
-    degrees when the configuration carries them.
+    degrees where the configuration knows them.
 
     The default band width adapts to the configuration: intended neighbor
     distances are ell - lambda_e per edge, so C is the largest recorded
@@ -804,28 +880,24 @@ def neighbor_graph(config, C=None, delta=0.05):
         lams = [abs(l) for l in list(config.lambda_master.values())
                 + list(config.lambda_sub.values())]
         C = max(lams) + 0.1 if lams else 0.5
-    z = config.index.positions
+    z = config.positions
     ell = config.ell
     far = (1.0 + delta) * ell
     # every near or in-between pair is within the larger band edge; fmax
     # skips a NaN edge, which no distance can pass
-    i, j = config.index.pairs(float(np.fmax(far, ell + C))).T
+    ij = config.index.pairs(float(np.fmax(far, ell + C)))
+    i, j = ij.T
     d = np.abs(z[j] - z[i])
     near = np.abs(d - ell) <= C
     bad = ~near & (d < far)
-    neighbors = [[] for _ in range(len(z))]
-    for a, b in zip(i[near].tolist(), j[near].tolist()):
-        neighbors[a].append(b)
-        neighbors[b].append(a)
     violations = list(zip(i[bad].tolist(), j[bad].tolist(),
                           d[bad].tolist()))
-    mismatches = []
-    for i, expect in (config.expected_degree or {}).items():
-        got = len(neighbors[i])
-        if got != expect:
-            mismatches.append((i, expect, got))
-    return NeighborReport([sorted(nb) for nb in neighbors],
-                          violations, mismatches)
+    got = np.bincount(ij[near].ravel(), minlength=len(z))
+    expect = config.expected_degree
+    off = np.flatnonzero((expect >= 0) & (expect != got))
+    mismatches = list(zip(off.tolist(), expect[off].tolist(),
+                          got[off].tolist()))
+    return NeighborReport(ij[near], violations, mismatches, len(z))
 
 
 # --- chain correction --------------------------------------------------------
@@ -873,18 +945,13 @@ def diagnostic_chain_cloud(table, ell, m, a=1.0, eta0=1):
     """Two anchors plus 2m-1 chain points on the x-axis: the two-vertex
     master diagnostic (bypasses the master solve)."""
     lam = ell * table.alpha_ell(a, ell)
-    points = []
-    expected = {}
-    total = 2 * m
-    for j in range(total + 1):
-        z = complex(j * (ell - lam), 0.0)
-        sign = eta0 * ((-1) ** j if a < 0 else 1)
-        if j in (0, total):
-            prov = f"anchor:{'p' if j == 0 else 'q'}:o"
-            expected[len(points)] = 1
-        else:
-            prov = f"chain:p:q:{j}"
-            expected[len(points)] = 2
-        points.append(CloudPoint(z, sign, prov))
-    return Configuration(points, ell, 0.0, {("p", "q"): m},
-                         {("p", "q"): lam}, {}, expected)
+    j = np.arange(2 * m + 1)
+    positions = (j * (ell - lam)).astype(complex)
+    signs = eta0 * (1 - 2 * (j % 2)) if a < 0 else np.full(len(j), eta0)
+    provenance = (["anchor:p:o"]
+                  + [f"chain:p:q:{i}" for i in j[1:-1].tolist()]
+                  + ["anchor:q:o"])
+    expected = np.full(len(j), 2)
+    expected[[0, -1]] = 1
+    return Configuration(positions, signs, provenance, ell, 0.0,
+                         {("p", "q"): m}, {("p", "q"): lam}, {}, expected)

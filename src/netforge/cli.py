@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .assembly import (generate_cloud, load_assembly, load_cloud,
-                       neighbor_graph, save_cloud, solve_master,
+from .assembly import (CLOUD_HEADER, generate_cloud, load_assembly,
+                       load_cloud, neighbor_graph, save_cloud, solve_master,
                        verify_assembly)
 from .builders import assembly_catalog, assembly_names
 from .catalog import catalog, catalog_names
@@ -237,7 +237,7 @@ def cmd_configure(args):
     report_path = args.out + ".report.json"
     with open(report_path, "w") as fh:
         json.dump({
-            "points": len(config.points),
+            "points": len(config.positions),
             "ell": args.ell, "kappa": args.kappa,
             "chain_counts": {f"{p}--{q}": m
                              for (p, q), m in sorted(config.m_map.items())},
@@ -270,7 +270,7 @@ def cmd_configure(args):
             print(f"degree mismatch: point {i} expected {e} got {g}",
                   file=sys.stderr)
         return EXIT_CONDITIONS
-    print(f"wrote {args.out} ({len(config.points)} points)")
+    print(f"wrote {args.out} ({len(config.positions)} points)")
     return EXIT_OK
 
 
@@ -278,49 +278,53 @@ def cmd_configure(args):
 
 def _midchain_indices(config):
     """Indices of mid-chain points (j = m on each master edge), parsed
-    from the provenance column."""
-    by_edge = {}
-    for i, pt in enumerate(config.points):
-        if not pt.provenance.startswith("chain:"):
-            continue
-        _, p, q, j = pt.provenance.split(":")
-        by_edge.setdefault((p, q), []).append((int(j), i))
-    out = []
-    for (p, q), js in sorted(by_edge.items()):
-        m = (max(j for j, _ in js) + 1) // 2
-        for j, i in js:
-            if j == m:
-                out.append(i)
-    return out
+    from the provenance column `chain:p:q:j`, in ascending order."""
+    chain = np.array(config.provenance, dtype=str)
+    idx = np.flatnonzero(np.strings.startswith(chain, "chain:"))
+    if not idx.size:
+        return []
+    # rebinding and del drop each copy of the column once it is parsed
+    chain = chain[idx]
+    bad = np.strings.count(chain, ":") != 3
+    if bad.any():
+        raise NetworkError("malformed chain provenance "
+                           f"{str(chain[bad][0])!r}")
+    edge, _, j = np.strings.rpartition(chain, ":")
+    del chain
+    j = np.fromiter(map(int, j.tolist()), dtype=int, count=len(j))
+    group = np.unique(edge, return_inverse=True)[1]
+    top = np.full(len(idx), j.min())
+    np.maximum.at(top, group, j)
+    return idx[j == (top[group] + 1) // 2].tolist()
 
 
 def _select_windows(config, spec):
+    n = len(config.positions)
     if spec == "all":
-        return list(range(len(config.points)))
+        return list(range(n))
     if spec == "anchors":
-        return [i for i, pt in enumerate(config.points)
-                if pt.provenance.startswith("anchor:")]
+        return [i for i, prov in enumerate(config.provenance)
+                if prov.startswith("anchor:")]
     try:
         sel = [int(s) for s in spec.split(",") if s.strip()]
     except ValueError:
         raise NetworkError(f"bad --windows value {spec!r}")
     for i in sel:
-        if not 0 <= i < len(config.points):
+        if not 0 <= i < n:
             raise NetworkError(f"--windows index {i} is not in "
-                               f"[0, {len(config.points)}), the cloud's "
-                               f"point indices")
+                               f"[0, {n}), the cloud's point indices")
     return sel
 
 
 def _point_row(config, idx, table, delta):
-    pt = config.points[idx]
+    z = config.positions[idx].item()
     ell = config.ell
-    window = FieldWindow(pt.z, ell / 4.0 + 2.0, delta=delta)
-    proj = project_force(config, pt.z, table, window)
+    window = FieldWindow(z, ell / 4.0 + 2.0, delta=delta)
+    proj = project_force(config, z, table, window)
     sup, weighted = residual_norms(config, window, table, delta)
     pred = predicted_force(config, idx, table)
     return window, {
-        "index": idx, "provenance": pt.provenance,
+        "index": idx, "provenance": config.provenance[idx],
         "sup_norm": sup, "weighted_norm": weighted,
         "projection": [proj.real, proj.imag],
         "predicted": [pred.real, pred.imag],
@@ -328,12 +332,30 @@ def _point_row(config, idx, table, delta):
     }
 
 
+def _check_cloud_ell(path, ell):
+    """Reject a cloud whose configure report (`<cloud>.report.json`)
+    records an ell other than `ell`; a cloud without a report passes."""
+    report = path + ".report.json"
+    try:
+        with open(report) as fh:
+            built = json.load(fh)["ell"]
+    except FileNotFoundError:
+        return
+    except (KeyError, TypeError):
+        raise NetworkError(f"{report} records no ell")
+    if built != ell:
+        raise NetworkError(f"{path} was configured at ell {built} "
+                           f"({report}), not at --ell {ell}")
+
+
 def cmd_assemble(args):
     start = time.perf_counter()
     try:
+        _check_cloud_ell(args.cloud, args.ell)
         config = load_cloud(args.cloud, args.ell)
         sel = _select_windows(config, args.windows)
-    except (OSError, NetworkError, ValueError) as exc:
+        midchain = _midchain_indices(config)
+    except (OSError, NetworkError, ValueError, OverflowError) as exc:
         print(f"assemble: {exc}", file=sys.stderr)
         return EXIT_USAGE
     table = load_or_build()
@@ -349,7 +371,7 @@ def cmd_assemble(args):
     threshold = 0.05 * ups
     gated = []
     seen = {r["index"]: r for r in rows}
-    for idx in _midchain_indices(config):
+    for idx in midchain:
         if idx in seen:
             row = seen[idx]
         else:
@@ -361,15 +383,16 @@ def cmd_assemble(args):
     worst = float(np.max(gated, initial=0.0))
     gate_pass = bool(np.isfinite(threshold) and np.isfinite(worst)
                      and worst <= threshold)
-    sup_max = max((r["sup_norm"] for r in rows), default=0.0)
+    # a NaN norm propagates into the maxima and the decay estimate
+    sup_max = float(np.max([r["sup_norm"] for r in rows], initial=0.0))
+    weighted_max = float(np.max([r["weighted_norm"] for r in rows],
+                                initial=0.0))
     decay = (-float(np.log(sup_max * np.sqrt(args.ell))) / args.ell
-             if sup_max > 0 else float("inf"))
+             if sup_max != 0 else float("inf"))
     obj = {
         "ell": args.ell,
         "upsilon_ell": ups,
-        "norms": {"sup_max": sup_max,
-                  "weighted_max": max((r["weighted_norm"] for r in rows),
-                                      default=0.0),
+        "norms": {"sup_max": sup_max, "weighted_max": weighted_max,
                   "decay_rate_estimate": decay},
         "gate": {"threshold": threshold, "worst_projection": worst,
                  "pass": gate_pass},
@@ -401,16 +424,16 @@ def cmd_plot(args):
     try:
         with open(args.input) as fh:
             header = fh.readline().strip()
-        if header == "x,y,sign,provenance":
+        if header == CLOUD_HEADER:
             config = load_cloud(args.input, 1.0)
-            scatter_svg(config.points, args.out)
+            scatter_svg(config.positions, config.signs, args.out)
         elif header == "x,y,value":
             from .fields import load_field
             x, y, vals = load_field(args.input)
             heatmap_svg(x, y, vals, args.out)
         else:
             raise NetworkError(f"unrecognized CSV header {header!r}")
-    except (OSError, NetworkError, ValueError) as exc:
+    except (OSError, NetworkError, ValueError, OverflowError) as exc:
         print(f"plot: {exc}", file=sys.stderr)
         return EXIT_USAGE
     man = RunManifest("plot", [args.input], {}, [args.out])

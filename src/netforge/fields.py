@@ -6,6 +6,8 @@ All diagnostics run on per-point windows; global grids at realistic
 configuration scales would be far too large.
 """
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,13 +51,10 @@ class FieldWindow:
 def _window_points(config, window):
     """(position, sign) pairs close enough to matter on the window."""
     reach = window.half_width + CUTOFF
-    pts = config.points
-    out = []
-    for k in config.index.near(window.center, reach):
-        pt = pts[k]
-        if abs(pt.z - window.center) <= reach:
-            out.append((pt.z, pt.sign))
-    return out
+    k = config.index.near(window.center, reach)
+    z = config.positions[k]
+    keep = np.abs(z - window.center) <= reach
+    return list(zip(z[keep].tolist(), config.signs[k[keep]].tolist()))
 
 
 def residual(config, window, table):
@@ -91,7 +90,10 @@ def residual(config, window, table):
 
 def residual_norms(config, window, table, delta=DELTA_DEFAULT):
     """(sup norm, weighted norm) of the residual on the window; the weight
-    is sum_z exp(delta sqrt(1 + |x - z|^2))."""
+    is sum_z exp(delta sqrt(1 + |x - z|^2)). Both are NaN on a window
+    centred on a non-finite point."""
+    if not cmath.isfinite(window.center):
+        return math.nan, math.nan
     if window.E is None or window.delta != delta:
         window.delta = delta
         residual(config, window, table)
@@ -140,10 +142,10 @@ def projection_scale(table, rho):
     key = round(rho, 9)
     if key in cache:
         return cache[key]
-    from .assembly import CloudPoint, Configuration
+    from .assembly import Configuration
     s = max(8.0, 2.0 * rho + 4.0)
-    cfg = Configuration([CloudPoint(0j, 1, "cal:left"),
-                         CloudPoint(complex(s, 0.0), 1, "cal:right")], s)
+    cfg = Configuration([0j, complex(s, 0.0)], [1, 1],
+                        ["cal:left", "cal:right"], s)
     win = FieldWindow(0j, rho + 2.0)
     g = _raw_projection(cfg, 0j, win, table, rho)
     scale = g.real / float(table.upsilon(s))
@@ -171,18 +173,17 @@ def project_force(config, z, table, window=None, spacing=0.1):
 def predicted_force(config, z_index, table, band=0.5):
     """Closest-neighbor prediction sum eta_z eta_z' Upsilon(|z'-z|) unit(z'-z)
     at the point with the given index."""
-    pts = config.points
-    z = pts[z_index].z
-    eta = pts[z_index].sign
+    z = config.positions[z_index].item()
+    eta = config.signs[z_index].item()
     ell = config.ell
+    k = config.index.near(z, ell + band)
+    k = k[k != z_index]
     out = 0j
-    for k in config.index.near(z, ell + band):
-        if k == z_index:
-            continue
-        pt = pts[k]
-        d = abs(pt.z - z)
+    for zk, sk in zip(config.positions[k].tolist(),
+                      config.signs[k].tolist()):
+        d = abs(zk - z)
         if abs(d - ell) <= band:
-            out += eta * pt.sign * float(table.upsilon(d)) * (pt.z - z) / d
+            out += eta * sk * float(table.upsilon(d)) * (zk - z) / d
     return out
 
 

@@ -16,34 +16,26 @@ def _svg_open(width, height):
             f'viewBox="0 0 {width} {height}">\n')
 
 
-def scatter_svg(points, path, size=800, margin=40, radius=2.5):
-    """Write a scatter plot of (z, sign) pairs; blue for +1, red for -1.
-
-    `points` is any iterable of objects with .z and .sign (cloud points)
-    or (complex, int) tuples. An empty iterable gives an empty canvas.
-    """
-    pts = []
-    for pt in points:
-        if isinstance(pt, tuple):
-            z, s = pt
-        else:
-            z, s = pt.z, pt.sign
-        pts.append((complex(z), int(s)))
+def scatter_svg(positions, signs, path, size=800, margin=40, radius=2.5):
+    """Write a scatter plot of the points at complex `positions`; blue
+    where `signs` is +1, red where it is -1. No points give an empty
+    canvas."""
+    z = np.asarray(positions, dtype=complex)
     parts = [_svg_open(size, size)]
     parts.append(f'<rect width="{size}" height="{size}" fill="white"/>\n')
-    if pts:
-        xs = np.array([p[0].real for p in pts])
-        ys = np.array([p[0].imag for p in pts])
+    if z.size:
+        xs, ys = z.real, z.imag
         span = max(xs.max() - xs.min(), ys.max() - ys.min(), 1e-9)
         scale = (size - 2 * margin) / span
         cx = (xs.min() + xs.max()) / 2
         cy = (ys.min() + ys.max()) / 2
-        for (z, s) in pts:
-            px = size / 2 + (z.real - cx) * scale
-            py = size / 2 - (z.imag - cy) * scale
-            color = POS_COLOR if s > 0 else NEG_COLOR
-            parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" '
-                         f'r="{radius}" fill="{color}"/>\n')
+        px = size / 2 + (xs - cx) * scale
+        py = size / 2 - (ys - cy) * scale
+        colors = np.where(np.asarray(signs) > 0, POS_COLOR, NEG_COLOR)
+        parts.extend(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius}" '
+                     f'fill="{c}"/>\n'
+                     for x, y, c in zip(px.tolist(), py.tolist(),
+                                        colors.tolist()))
     parts.append("</svg>\n")
     with open(path, "w") as fh:
         fh.write("".join(parts))

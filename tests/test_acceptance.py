@@ -106,12 +106,11 @@ def test_criterion_5_alpha_expansion(table):
 
 
 def test_criterion_6_residual_decay(table):
-    from netforge.assembly import CloudPoint, Configuration
+    from netforge.assembly import Configuration
     from netforge.fields import FieldWindow
     scaled = []
     for ell in (8.0, 10.0, 12.0):
-        cfg = Configuration([CloudPoint(0j, 1, "a"),
-                             CloudPoint(complex(ell, 0), 1, "b")], ell)
+        cfg = Configuration([0j, complex(ell, 0)], [1, 1], ["a", "b"], ell)
         w = residual(cfg, FieldWindow(0j, 3.0, 0.05), table)
         sup = float(np.max(np.abs(w.E)))
         scaled.append(sup * math.exp(ell) * math.sqrt(ell))
@@ -133,11 +132,10 @@ def example_run(table):
 
 
 def test_criterion_7_projection_expansion(table, example_run):
-    from netforge.assembly import CloudPoint, Configuration
+    from netforge.assembly import Configuration
     # two-point oracle
     ell = 10.0
-    cfg2 = Configuration([CloudPoint(0j, 1, "a"),
-                          CloudPoint(complex(ell, 0), 1, "b")], ell)
+    cfg2 = Configuration([0j, complex(ell, 0)], [1, 1], ["a", "b"], ell)
     g = project_force(cfg2, 0j, table)
     ups = float(table.upsilon(ell))
     assert abs(abs(g) - ups) < 0.05 * ups
@@ -215,8 +213,8 @@ def test_criterion_10_end_to_end(tmp_path, table, cache_env):
         obj = json.loads(diag.read_text())
         assert obj["gate"]["pass"] is True
     # discrete Newton refinement of a single bump
-    from netforge.assembly import CloudPoint, Configuration
-    cfg = Configuration([CloudPoint(0j, 1, "a")], 10.0)
+    from netforge.assembly import Configuration
+    cfg = Configuration([0j], [1], ["a"], 10.0)
     out = refine(cfg, table, 12.0, spacing=0.1)
     assert out.converged
     assert out.residual < 1e-10

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netforge.assembly import (Assembly, CloudPoint, Configuration,
+from netforge.assembly import (Assembly, Configuration,
                                SubNetwork, _master_system, chain_correct,
                                chain_matrix, chain_matrix_inverse,
                                coordinate_quantization,
@@ -275,8 +275,7 @@ def test_neighbor_graph_diagnostic_chain(table):
 
 
 def test_neighbor_graph_flags_violation():
-    pts = [CloudPoint(0j, 1, "a"), CloudPoint(10.3 + 0j, 1, "b")]
-    cfg = Configuration(pts, 10.0)
+    cfg = Configuration([0j, 10.3 + 0j], [1, 1], ["a", "b"], 10.0)
     nb = neighbor_graph(cfg, C=0.2, delta=0.05)
     assert len(nb.violations) == 1
     i, j, d = nb.violations[0]
@@ -284,8 +283,8 @@ def test_neighbor_graph_flags_violation():
 
 
 def test_neighbor_graph_flags_degree_mismatch():
-    pts = [CloudPoint(0j, 1, "a"), CloudPoint(10 + 0j, 1, "b")]
-    cfg = Configuration(pts, 10.0, expected_degree={0: 2, 1: 1})
+    cfg = Configuration([0j, 10 + 0j], [1, 1], ["a", "b"], 10.0,
+                        expected_degree=[2, 1])
     nb = neighbor_graph(cfg, C=0.5)
     assert nb.degree_mismatches == [(0, 2, 1)]
 
@@ -293,9 +292,9 @@ def test_neighbor_graph_flags_degree_mismatch():
 def test_neighbor_graph_near_band_past_far_band():
     # C = 1 > delta ell = 0.5: a pair at 10.8 is near although it lies
     # beyond the far edge 10.5, so the search must reach ell + C
-    pts = [CloudPoint(0j, 1, "a"), CloudPoint(10.8 + 0j, 1, "b"),
-           CloudPoint(30 + 0j, 1, "c"), CloudPoint(30 + 10.2j, 1, "d")]
-    nb = neighbor_graph(Configuration(pts, 10.0), C=1.0, delta=0.05)
+    cfg = Configuration([0j, 10.8 + 0j, 30 + 0j, 30 + 10.2j], [1] * 4,
+                        ["a", "b", "c", "d"], 10.0)
+    nb = neighbor_graph(cfg, C=1.0, delta=0.05)
     assert nb.neighbors == [[1], [0], [3], [2]]
     assert nb.violations == []
 
@@ -304,7 +303,7 @@ def test_neighbor_graph_keeps_pair_on_band_edge():
     # |z| is exactly ell + C = 10, but the KD-tree's squared distance
     # rounds above 100: only the slack on its radius keeps the pair
     z = complex(3.07112432354196, 9.51673239034013)
-    cfg = Configuration([CloudPoint(0j, 1, "a"), CloudPoint(z, 1, "b")], 9.5)
+    cfg = Configuration([0j, z], [1, 1], ["a", "b"], 9.5)
     nb = neighbor_graph(cfg, C=0.5, delta=0.0)
     assert nb.neighbors == [[1], [0]]
 
@@ -312,7 +311,7 @@ def test_neighbor_graph_keeps_pair_on_band_edge():
 def _neighbor_graph_loop(config, C, delta):
     """Reference: the O(N^2) scan that tests every pair, as neighbor_graph
     did before the KD-tree. Returns (neighbors, violations, mismatches)."""
-    z = np.array([pt.z for pt in config.points], dtype=complex)
+    z = config.positions
     npts = len(z)
     ell = config.ell
     neighbors = [[] for _ in range(npts)]
@@ -327,8 +326,8 @@ def _neighbor_graph_loop(config, C, delta):
         for k in np.nonzero(bad)[0]:
             violations.append((i, i + 1 + int(k), float(d[k])))
     mismatches = [(i, expect, len(neighbors[i]))
-                  for i, expect in config.expected_degree.items()
-                  if len(neighbors[i]) != expect]
+                  for i, expect in enumerate(config.expected_degree.tolist())
+                  if expect >= 0 and len(neighbors[i]) != expect]
     return [sorted(nb) for nb in neighbors], violations, mismatches
 
 
@@ -352,10 +351,12 @@ def planted_clouds(draw):
             st.sampled_from((-1e-15, 0.0, 1e-15))))
         base = zs[int(rng.integers(len(zs)))] if zs else origin
         zs.append(base + d * np.exp(1j * rng.uniform(0, 2 * np.pi)))
-    pts = [CloudPoint(complex(z), 1, f"p{i}") for i, z in enumerate(zs)]
-    expected = {i: int(rng.integers(0, 4))
-                for i in range(len(zs)) if rng.random() < 0.5}
-    return Configuration(pts, ell, expected_degree=expected), C, delta
+    # -1: no expected degree for that point
+    expected = [int(rng.integers(0, 4)) if rng.random() < 0.5 else -1
+                for _ in zs]
+    return (Configuration(zs, [1] * len(zs),
+                          [f"p{i}" for i in range(len(zs))], ell,
+                          expected_degree=expected), C, delta)
 
 
 @settings(max_examples=150, deadline=None)
@@ -373,8 +374,9 @@ def test_neighbor_graph_matches_all_pairs_loop(cloud):
 def test_neighbor_graph_skips_non_finite_points():
     # a NaN or infinite position passes no band test, as in the loop
     zs = [0j, 10 + 0j, complex("nan"), 20 + 0j, complex("inf"), 10.2 + 0.1j]
-    pts = [CloudPoint(z, 1, f"p{i}") for i, z in enumerate(zs)]
-    config = Configuration(pts, 10.0, expected_degree={2: 0, 4: 1})
+    config = Configuration(zs, [1] * len(zs),
+                           [f"p{i}" for i in range(len(zs))], 10.0,
+                           expected_degree=[-1, -1, 0, -1, 1, -1])
     nb = neighbor_graph(config, C=0.5, delta=0.05)
     assert (nb.neighbors, nb.violations, nb.degree_mismatches) == \
         _neighbor_graph_loop(config, 0.5, 0.05)

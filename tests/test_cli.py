@@ -186,6 +186,38 @@ def test_assemble_gate_fails_on_nan_projection(tmp_path, cache_env):
     row = next(p for p in obj["points"] if p["index"] == mid)
     assert row["gated"] is True
     assert all(math.isnan(v) for v in row["projection"])
+    # the window on the NaN point has NaN norms, and the maxima carry
+    # them whichever window comes first
+    for windows in (f"{mid},0", f"0,{mid}"):
+        r = run_cli(["assemble", str(bad), "--ell", "10",
+                     "--windows", windows, "--out", str(diag)],
+                    tmp_path, cache_env)
+        assert r.returncode == 1, r.stderr
+        assert "Warning" not in r.stderr
+        obj = json.loads(diag.read_text())
+        rows = {p["index"]: p for p in obj["points"]}
+        assert math.isnan(rows[mid]["sup_norm"])
+        assert math.isnan(rows[mid]["weighted_norm"])
+        assert rows[0]["sup_norm"] > 0 and rows[0]["weighted_norm"] > 0
+        assert math.isnan(obj["norms"]["sup_max"])
+        assert math.isnan(obj["norms"]["weighted_max"])
+
+
+def test_assemble_rejects_cloud_of_other_ell(tmp_path, cache_env):
+    # the configure report next to the cloud records its ell; assembling
+    # at another ell is a usage error, not a passing gate
+    cloud = tmp_path / "cloud.csv"
+    r = run_cli(["configure", "--catalog", "example_5_1", "--k", "7",
+                 "--kappa", "64", "--ell", "10", "--out", str(cloud)],
+                tmp_path, cache_env)
+    assert r.returncode == 0, r.stderr
+    diag = tmp_path / "diag.json"
+    r = run_cli(["assemble", str(cloud), "--ell", "3", "--out", str(diag)],
+                tmp_path, cache_env)
+    assert r.returncode == 64, r.stderr
+    assert "configured at ell 10" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not diag.exists()
 
 
 def test_plot_empty_cloud(tmp_path, cache_env):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import k0, k1
 
-from netforge.assembly import (CloudPoint, Configuration,
-                               diagnostic_chain_cloud, generate_cloud,
-                               solve_master)
+from netforge.assembly import (Configuration, diagnostic_chain_cloud,
+                               generate_cloud, solve_master)
 from netforge.builders import example_5_1, n_c_assembly
 from netforge.fields import (CUTOFF, DELTA_DEFAULT, FieldWindow,
                              _raw_projection, _window_points, cutoff_profile,
@@ -16,8 +15,7 @@ from netforge.fields import (CUTOFF, DELTA_DEFAULT, FieldWindow,
 
 
 def two_point_config(ell, signs=(1, 1)):
-    return Configuration([CloudPoint(0j, signs[0], "a"),
-                          CloudPoint(complex(ell, 0), signs[1], "b")], ell)
+    return Configuration([0j, complex(ell, 0)], signs, ["a", "b"], ell)
 
 
 def test_window_geometry():
@@ -42,7 +40,7 @@ def test_cutoff_profile():
 
 
 def test_single_point_residual_is_zero(table):
-    cfg = Configuration([CloudPoint(0j, 1, "a")], 10.0)
+    cfg = Configuration([0j], [1], ["a"], 10.0)
     w = residual(cfg, FieldWindow(0j, 3.0), table)
     assert np.max(np.abs(w.E)) == 0.0
 
@@ -168,20 +166,18 @@ def test_scans_keep_points_on_reach_edge(table):
     # each |z| is exactly the reach, but the KD-tree's squared distance
     # rounds above its square: only the slack on the radius keeps z
     z = complex(16.010506077224743, 36.65601853926787)   # 10 + CUTOFF
-    cfg = Configuration([CloudPoint(0j, 1, "a"), CloudPoint(z, -1, "b")],
-                        10.0)
+    cfg = Configuration([0j, z], [1, -1], ["a", "b"], 10.0)
     assert _window_points(cfg, FieldWindow(0j, 10.0)) == [(0j, 1), (z, -1)]
     z = complex(0.720732799534178, 10.475234805562863)   # ell + band
-    cfg = Configuration([CloudPoint(0j, 1, "a"), CloudPoint(z, 1, "b")],
-                        10.0)
+    cfg = Configuration([0j, z], [1, 1], ["a", "b"], 10.0)
     pred = predicted_force(cfg, 0, table)
     assert pred != 0 and pred == _predicted_force_loop(cfg, 0, table)
 
 
 def test_scans_skip_non_finite_points(table):
     zs = [0j, complex("nan"), 10 + 0j, complex("inf")]
-    cfg = Configuration([CloudPoint(z, 1, f"p{i}") for i, z in enumerate(zs)],
-                        10.0)
+    cfg = Configuration(zs, [1] * len(zs),
+                        [f"p{i}" for i in range(len(zs))], 10.0)
     for i, z in enumerate(zs):
         window = FieldWindow(z, 4.5)
         assert _window_points(cfg, window) == \
@@ -293,7 +289,7 @@ def test_window_delta_sets_the_norm_weight(table, nc_cloud):
 
 def test_pohozaev_defect(table):
     # radially symmetric single bump: every Killing pairing vanishes
-    cfg = Configuration([CloudPoint(0j, 1, "a")], 10.0)
+    cfg = Configuration([0j], [1], ["a"], 10.0)
     w = residual(cfg, FieldWindow(0j, 12.0, 0.1), table)
     fvals = table.nl.f(w.u)
     for xi in ("dx", "dy", "rot"):
@@ -306,7 +302,7 @@ def test_pohozaev_defect(table):
 
 
 def test_refine_single_bump(table):
-    cfg = Configuration([CloudPoint(0j, 1, "a")], 10.0)
+    cfg = Configuration([0j], [1], ["a"], 10.0)
     out = refine(cfg, table, 12.0, spacing=0.1)
     assert out.converged
     assert out.residual < 1e-10

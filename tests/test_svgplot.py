@@ -5,7 +5,7 @@ from netforge.svgplot import NEG_COLOR, POS_COLOR, heatmap_svg, scatter_svg
 
 def test_scatter_colors_by_sign(tmp_path):
     path = tmp_path / "s.svg"
-    scatter_svg([(0j, 1), (1 + 0j, -1), (1j, 1)], path)
+    scatter_svg([0j, 1 + 0j, 1j], [1, -1, 1], path)
     text = path.read_text()
     assert text.count(POS_COLOR) == 2
     assert text.count(NEG_COLOR) == 1
@@ -15,16 +15,17 @@ def test_scatter_colors_by_sign(tmp_path):
 
 def test_scatter_empty_canvas(tmp_path):
     path = tmp_path / "e.svg"
-    scatter_svg([], path)
+    scatter_svg([], [], path)
     text = path.read_text()
     assert "<circle" not in text
     assert "<svg" in text
 
 
 def test_scatter_accepts_cloud_points(tmp_path):
-    from netforge.assembly import CloudPoint
+    from netforge.assembly import Configuration
+    cloud = Configuration([0j, 2j], [1, -1], ["x", "y"], 2.0)
     path = tmp_path / "c.svg"
-    scatter_svg([CloudPoint(0j, 1, "x"), CloudPoint(2j, -1, "y")], path)
+    scatter_svg(cloud.positions, cloud.signs, path)
     assert path.read_text().count("<circle") == 2
 
 
@@ -48,7 +49,7 @@ def test_heatmap_constant_field(tmp_path):
 
 def test_output_is_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    pts = [(0.1 + 0.2j, 1), (3 - 1j, -1)]
-    scatter_svg(pts, p1)
-    scatter_svg(pts, p2)
+    z, signs = [0.1 + 0.2j, 3 - 1j], [1, -1]
+    scatter_svg(z, signs, p1)
+    scatter_svg(z, signs, p2)
     assert p1.read_bytes() == p2.read_bytes()

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from conftest import CACHE_DIR
 from netforge import (assembly, balance, builders, cli, fields, interaction,
                       solvers)
 from netforge.catalog import chain
@@ -60,3 +61,26 @@ def test_tracer_sees_each_window_and_its_profile_samples(spans, table):
     assert len(tracer.durations("fields.project_force")) == len(rows)
     assert tracer.counts["fields.scan.within_reach"] >= len(rows)
     assert tracer.counts["interaction.u0_at.samples"] > 0
+
+
+def test_traced_cli_run_counts_points_pairs_and_windows(spans, tmp_path,
+                                                        monkeypatch):
+    # the benchmark's traced run reads these counts off the objects the
+    # CLI stages return (cloud points, near pairs) and off residual_norms
+    monkeypatch.setenv("NETFORGE_CACHE", CACHE_DIR)
+    cloud = str(tmp_path / "cloud.csv")
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        assert cli.main(["configure", "--catalog", "example_5_1", "--k", "7",
+                         "--kappa", "64", "--ell", "10", "--out", cloud]) == 0
+        assert cli.main(["assemble", cloud, "--ell", "10",
+                         "--out", str(tmp_path / "diag.json")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["assembly.points"] == 1428
+    assert tracer.counts["assembly.neighbor_graph.near_pairs"] == 1435
+    assert tracer.counts["fields.windows"] == 28
+    for name in ("assembly.generate_cloud", "assembly.save_cloud",
+                 "assembly.neighbor_graph", "assembly.load_cloud"):
+        assert len(tracer.durations(name)) == 1, name
