@@ -8,6 +8,7 @@ manifest itself records wall time and is the one exception).
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -20,8 +21,8 @@ from .assembly import (CLOUD_HEADER, generate_cloud, load_assembly,
                        verify_assembly)
 from .builders import assembly_catalog, assembly_names
 from .catalog import catalog, catalog_names
-from .fields import (FieldWindow, predicted_force, project_force,
-                     residual_norms)
+from .fields import (FieldWindow, delta_limit, predicted_force,
+                     project_force, residual_norms)
 from .interaction import S_MAX, S_MIN, load_or_build
 from .linearize import certify
 from .network import NetworkError, load_network
@@ -53,6 +54,9 @@ class RunManifest:
     solver: dict | None = None   # Newton trace of the commands that solve
 
     def write(self, path):
+        """Write the manifest to `path`; None writes nothing."""
+        if path is None:
+            return
         obj = {"command": self.command, "inputs": self.inputs,
                "parameters": self.parameters, "outputs": self.outputs,
                "version": self.version, "wall_time": self.wall_time}
@@ -64,6 +68,11 @@ class RunManifest:
 
 
 def _manifest_path(out):
+    """`<out>.manifest.json`, or None when `out` is an existing file that
+    is not a regular one (a device such as /dev/null, a FIFO), beside
+    which no manifest belongs."""
+    if out and os.path.exists(out) and not os.path.isfile(out):
+        return None
     return (out or "netforge-run") + ".manifest.json"
 
 
@@ -316,10 +325,15 @@ def _select_windows(config, spec):
     return sel
 
 
+def _half_width(ell):
+    """Half width of an assembled window: the projection's cutoff radius
+    ell/4 plus 2."""
+    return ell / 4.0 + 2.0
+
+
 def _point_row(config, idx, table, delta):
     z = config.positions[idx].item()
-    ell = config.ell
-    window = FieldWindow(z, ell / 4.0 + 2.0, delta=delta)
+    window = FieldWindow(z, _half_width(config.ell), delta=delta)
     proj = project_force(config, z, table, window)
     sup, weighted = residual_norms(config, window, table, delta)
     pred = predicted_force(config, idx, table)
@@ -350,6 +364,12 @@ def _check_cloud_ell(path, ell):
 
 def cmd_assemble(args):
     start = time.perf_counter()
+    limit = delta_limit(_half_width(args.ell), args.ell)
+    if not abs(args.delta) <= limit:         # NaN fails too
+        print(f"assemble: --delta must be a number with |delta| <= "
+              f"{limit:.4g} at --ell {args.ell:g}, got {args.delta!r}: the "
+              "norm weight over- or underflows beyond it", file=sys.stderr)
+        return EXIT_USAGE
     try:
         _check_cloud_ell(args.cloud, args.ell)
         config = load_cloud(args.cloud, args.ell)

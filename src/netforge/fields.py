@@ -15,7 +15,10 @@ from scipy.sparse import eye, kron, diags
 
 from .solvers import damped_newton
 
-CUTOFF = 30.0          # points farther than this from a window are ignored
+# A window sums the bumps within half_width + ell + REACH of its centre. A
+# bump beyond that pulls on one at the centre with at most about
+# Upsilon(ell) e^{-(half_width + REACH)}, since Upsilon(s) ~ e^{-s}.
+REACH = 15.0
 DELTA_DEFAULT = -0.5   # weighted-norm exponent
 
 
@@ -49,8 +52,9 @@ class FieldWindow:
 
 
 def _window_points(config, window):
-    """(position, sign) pairs close enough to matter on the window."""
-    reach = window.half_width + CUTOFF
+    """(position, sign) pairs of the bumps within the window's reach,
+    half_width + ell + REACH of its centre."""
+    reach = window.half_width + config.ell + REACH
     k = config.index.near(window.center, reach)
     z = config.positions[k]
     keep = np.abs(z - window.center) <= reach
@@ -86,6 +90,16 @@ def residual(config, window, table):
     window.E = f(u) - lin
     window.weight = w
     return window
+
+
+def delta_limit(half_width, ell):
+    """Largest |delta| at which each term exp(delta sqrt(1 + d^2)) of the
+    norm weight lies in [e^-700, e^700] for every distance d from a sample
+    of a window with this half width to a bump it sums: d is at most the
+    corner's sqrt(2) half_width plus the reach. Both ends are normal
+    floats, and e^700 leaves room for 1e4 summands below the maximum."""
+    d = math.sqrt(2.0) * half_width + half_width + ell + REACH
+    return 700.0 / math.hypot(1.0, d)
 
 
 def residual_norms(config, window, table, delta=DELTA_DEFAULT):

@@ -157,16 +157,30 @@ def _spline_on_grid(c, x):
     """The CubicSpline with coefficients `c` on the knots i * DR at x, bit
     for bit as scipy evaluates it: c3 + c2 s + c1 s^2 + c0 s^3 summed in
     that order, s = x - i DR, on the i with i DR <= x < (i + 1) DR (ends
-    extended). i is x / DR rounded down, moved by one where the quotient
-    rounds across a knot."""
+    extended). i is x / DR truncated. Where that i may be one off (s < 0,
+    or s so near DR that (i + 1) DR can round below x) or lies past the
+    ends, i moves across the knot or is clipped and s is taken again: a
+    few x at the knots, and those beyond the grid."""
+    shape = np.shape(x)
+    x = np.ravel(x)
+    n = c.shape[1]
     i = (x * (1.0 / DR)).astype(np.intp)
-    i -= x < i * DR
-    i += x >= (i + 1) * DR
-    i = np.clip(i, 0, c.shape[1] - 1)
     s = x - i * DR
-    s2 = s * s
+    fix = np.flatnonzero((s < 0) | (s >= DR * (1.0 - 1e-9))
+                         | (i < 0) | (i >= n))
+    if fix.size:
+        xf = x[fix]
+        j = i[fix]
+        j -= xf < j * DR
+        j += xf >= (j + 1) * DR
+        j = np.clip(j, 0, n - 1)
+        i[fix] = j
+        s[fix] = xf - j * DR
+    # each gather inside the sum, so no more than two live at once
     c0, c1, c2, c3 = c
-    return c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+    s2 = s * s
+    return (np.take(c3, i) + np.take(c2, i) * s + np.take(c1, i) * s2
+            + np.take(c0, i) * (s2 * s)).reshape(shape)
 
 
 class InteractionTable:

@@ -1,9 +1,12 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
+
+from netforge import cli
 
 RUN = [sys.executable, "-m", "netforge.cli"]
 
@@ -249,6 +252,33 @@ def test_plot_unknown_header_exits_64(tmp_path, cache_env):
     assert r.returncode == 64, r.stderr
 
 
+def test_assemble_delta_within_its_limit_runs(tmp_path, cache_env):
+    # the limit on |delta| at ell 10 is 19.51: 19.5 and -19.5 still run
+    cloud = tmp_path / "two.csv"
+    cloud.write_text("x,y,sign,provenance\n"
+                     "0,0,1,anchor:a:o\n10,0,1,anchor:b:o\n")
+    for delta in ("19.5", "-19.5"):
+        diag = tmp_path / f"d{delta}.json"
+        r = run_cli(["assemble", str(cloud), "--ell", "10", "--delta", delta,
+                     "--windows", "all", "--out", str(diag)],
+                    tmp_path, cache_env)
+        assert r.returncode == 0, r.stderr
+        norms = json.loads(diag.read_text())["norms"]
+        assert 0 < norms["weighted_max"] < math.inf
+
+
+def test_manifest_path_skips_non_regular_files(tmp_path):
+    out = tmp_path / "diag.json"
+    assert cli._manifest_path(str(out)) == str(out) + ".manifest.json"
+    out.write_text("{}")
+    assert cli._manifest_path(str(out)) == str(out) + ".manifest.json"
+    assert cli._manifest_path(None) == "netforge-run.manifest.json"
+    assert cli._manifest_path(os.devnull) is None
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    assert cli._manifest_path(str(fifo)) is None
+
+
 def test_manifest_contents(tmp_path, cache_env):
     cloud = tmp_path / "empty.csv"
     cloud.write_text("x,y,sign,provenance\n")
@@ -267,6 +297,8 @@ BAD_INPUTS = [
       for ell in ("1", "nan", "200")],
     *[("configure", ["--kappa", kappa]) for kappa in ("0", "-3", "nan")],
     *[("assemble", ["--windows", w]) for w in ("99999", "-1")],
+    *[("assemble", ["--delta", d])
+      for d in ("nan", "inf", "-inf", "-1000", "1000", "19.6")],
 ]
 
 

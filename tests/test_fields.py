@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import k0, k1
 
+from netforge import fields
 from netforge.assembly import (Configuration, diagnostic_chain_cloud,
                                generate_cloud, solve_master)
 from netforge.builders import example_5_1, n_c_assembly
-from netforge.fields import (CUTOFF, DELTA_DEFAULT, FieldWindow,
-                             _raw_projection, _window_points, cutoff_profile,
+from netforge.fields import (DELTA_DEFAULT, REACH, FieldWindow,
+                             _raw_projection, _window_points,
+                             cutoff_profile, delta_limit,
                              load_field, pohozaev_defect, predicted_force,
                              project_force, refine, residual, residual_norms,
                              save_field)
@@ -123,9 +125,15 @@ def nc_cloud(table):
 
 def _window_points_loop(config, window):
     """Reference: the linear scan over every point."""
-    reach = window.half_width + CUTOFF
+    reach = window.half_width + config.ell + REACH
     return [(pt.z, pt.sign) for pt in config.points
             if abs(pt.z - window.center) <= reach]
+
+
+def _window_points_cutoff30(config, window):
+    """Reference: the earlier rule, every point within half_width + 30."""
+    return [(pt.z, pt.sign) for pt in config.points
+            if abs(pt.z - window.center) <= window.half_width + 30.0]
 
 
 def _predicted_force_loop(config, z_index, table, band=0.5):
@@ -147,11 +155,12 @@ def _predicted_force_loop(config, z_index, table, band=0.5):
 def test_window_points_match_linear_scan(table, nc_cloud):
     zs = [pt.z for pt in nc_cloud.points]
     hw = nc_cloud.ell / 4.0 + 2.0
+    reach = hw + nc_cloud.ell + REACH
     lo = complex(min(z.real for z in zs), min(z.imag for z in zs))
     centers = (zs[::37]                                       # on points
                + [(a + b) / 2 for a, b in zip(zs[::41], zs[1::41])]
-               + [zs[5] + hw + CUTOFF, zs[9] - 1j * (hw + CUTOFF)]
-               + [lo - 50 - 50j, lo - (hw + CUTOFF) + 1j])   # off the cloud
+               + [zs[5] + reach, zs[9] - 1j * reach]
+               + [lo - 50 - 50j, lo - reach + 1j])            # off the cloud
     total = 0
     for c in centers:
         window = FieldWindow(c, hw)
@@ -165,7 +174,8 @@ def test_window_points_match_linear_scan(table, nc_cloud):
 def test_scans_keep_points_on_reach_edge(table):
     # each |z| is exactly the reach, but the KD-tree's squared distance
     # rounds above its square: only the slack on the radius keeps z
-    z = complex(16.010506077224743, 36.65601853926787)   # 10 + CUTOFF
+    z = complex(13.54070868521458, 32.274590753441856)
+    assert abs(z) == 10.0 + 10.0 + REACH
     cfg = Configuration([0j, z], [1, -1], ["a", "b"], 10.0)
     assert _window_points(cfg, FieldWindow(0j, 10.0)) == [(0j, 1), (z, -1)]
     z = complex(0.720732799534178, 10.475234805562863)   # ell + band
@@ -249,6 +259,27 @@ def _residual_loop(config, window, table, z, rho, delta):
             complex(ex, ey))
 
 
+def _assert_window_matches_loop(cfg, z, at, table, delta):
+    """The window on z, projected at `at`, equals the reference loop's."""
+    rho = cfg.ell / 4.0
+    window = FieldWindow(z, rho + 2.0)
+    g = _raw_projection(cfg, at, window, table, rho)
+    sup, weighted = residual_norms(cfg, window, table, delta)
+    u, E, ref_sup, ref_weighted, ref_g = _residual_loop(
+        cfg, window, table, at, rho, delta)
+    assert np.array_equal(window.u, u)
+    assert np.array_equal(window.E, E)
+    assert (sup, weighted) == (ref_sup, ref_weighted)
+    assert g == ref_g
+
+
+def _spread_windows(cfg):
+    """Indices of a few anchors and of points spread over the cloud."""
+    anchors = [i for i, pt in enumerate(cfg.points)
+               if pt.provenance.startswith("anchor:")]
+    return anchors[:6] + list(range(1, len(cfg.points), 211))
+
+
 @pytest.mark.parametrize("delta", [DELTA_DEFAULT, -0.3])
 def test_one_pass_window_matches_loop(table, ex51_cloud, nc_cloud, delta):
     # windows on anchors and on spread points; each also projects at a
@@ -256,21 +287,92 @@ def test_one_pass_window_matches_loop(table, ex51_cloud, nc_cloud, delta):
     # The windows take the default delta, so -0.3 makes residual_norms
     # redo the pass at its own delta.
     for cfg in (ex51_cloud, nc_cloud):
-        rho = cfg.ell / 4.0
-        anchors = [i for i, pt in enumerate(cfg.points)
-                   if pt.provenance.startswith("anchor:")]
-        for i in anchors[:6] + list(range(1, len(cfg.points), 211)):
+        for i in _spread_windows(cfg):
             z = cfg.points[i].z
             for at in (z, z + 0.37 - 0.21j):
-                window = FieldWindow(z, rho + 2.0)
-                g = _raw_projection(cfg, at, window, table, rho)
-                sup, weighted = residual_norms(cfg, window, table, delta)
-                u, E, ref_sup, ref_weighted, ref_g = _residual_loop(
-                    cfg, window, table, at, rho, delta)
-                assert np.array_equal(window.u, u)
-                assert np.array_equal(window.E, E)
-                assert (sup, weighted) == (ref_sup, ref_weighted)
-                assert g == ref_g
+                _assert_window_matches_loop(cfg, z, at, table, delta)
+
+
+@pytest.mark.parametrize("ell", [60.0, 110.0])
+def test_window_mixing_grid_and_tail_matches_loop(table, ell):
+    # a bump 0.4 ell from the window centre spans r = 50, the profile
+    # grid's end: one u0_at call evaluates the spline and the Bessel tail
+    cfg = diagnostic_chain_cloud(table, ell, 2)
+    hw = ell / 4.0 + 2.0
+    mixed = 0
+    for c in [pt.z for pt in cfg.points] + [0.6 * ell + 0j, 1.4 * ell + 1j]:
+        window = FieldWindow(c, hw)
+        X, Y = window.mesh()
+        for zb, _ in _window_points(cfg, window):
+            r = np.hypot(X - zb.real, Y - zb.imag)
+            mixed += r.min() <= table.r[-1] < r.max()
+        _assert_window_matches_loop(cfg, c, c, table, DELTA_DEFAULT)
+    assert mixed >= 2
+
+
+def test_reach_drift_from_cutoff_30(table, ex51_cloud, nc_cloud,
+                                    monkeypatch):
+    # the reach half_width + ell + REACH drops bumps that the earlier
+    # half_width + 30 summed; the diagnostics move by at most these bounds
+    def diagnostics(cfg, i):
+        z = cfg.positions[i].item()
+        window = FieldWindow(z, cfg.ell / 4.0 + 2.0)
+        proj = project_force(cfg, z, table, window)
+        return (proj,) + residual_norms(cfg, window, table)
+
+    for cfg in (ex51_cloud, nc_cloud):
+        ups = float(table.upsilon(cfg.ell))
+        rows = _spread_windows(cfg)
+        now = [diagnostics(cfg, i) for i in rows]
+        with monkeypatch.context() as m:
+            m.setattr(fields, "_window_points", _window_points_cutoff30)
+            before = [diagnostics(cfg, i) for i in rows]
+        dropped = 0
+        for i, (g, sup, weighted), (g0, sup0, weighted0) in zip(rows, now,
+                                                                before):
+            window = FieldWindow(cfg.positions[i].item(), cfg.ell / 4.0 + 2.0)
+            dropped += (len(_window_points_cutoff30(cfg, window))
+                        - len(_window_points(cfg, window)))
+            assert abs(g - g0) <= 1e-8 * ups
+            assert sup == pytest.approx(sup0, rel=1e-8, abs=0.0)
+            assert weighted == pytest.approx(weighted0, rel=1e-5, abs=0.0)
+        assert dropped > 0
+
+
+def test_reach_holds_chain_neighbours_at_large_ell(table, monkeypatch):
+    # at ell 50 a window of half width ell/4 + 2 = 14.5 reached 44.5 under
+    # the earlier rule, so the mid-chain window held its own bump only and
+    # its residual was exactly 0; the reach 79.5 holds both neighbours
+    cfg = diagnostic_chain_cloud(table, 50.0, 3)
+    mid = cfg.positions[3].item()
+    window = FieldWindow(mid, 14.5)
+    assert [z for z, _ in _window_points(cfg, window)] == \
+        [mid - 50.0, mid, mid + 50.0]
+    sup, weighted = residual_norms(cfg, window, table)
+    assert sup > 0 and weighted > 0
+    with monkeypatch.context() as m:
+        m.setattr(fields, "_window_points", _window_points_cutoff30)
+        assert residual_norms(cfg, FieldWindow(mid, 14.5), table) == \
+            (0.0, 0.0)
+
+
+@pytest.mark.parametrize("ell", [2.0, 10.0, 110.0])
+def test_delta_limit_keeps_the_weight_normal(table, ell):
+    # at |delta| = delta_limit, with a bump on the window's reach, the
+    # weight's exponent stays within [-700, 700] on every sample; the
+    # default delta is within the limit
+    hw = ell / 4.0 + 2.0
+    limit = delta_limit(hw, ell)
+    assert abs(DELTA_DEFAULT) < limit
+    d = (math.sqrt(2.0) + 1.0) * hw + ell + REACH
+    far = complex(d - math.sqrt(2.0) * hw, 0.0)
+    cfg = Configuration([0j, far], [1, 1], ["a", "b"], ell)
+    for delta in (limit, -limit):
+        window = residual(cfg, FieldWindow(0j, hw, delta=delta), table)
+        assert len(_window_points(cfg, window)) == 2
+        w = window.weight
+        assert np.all(np.isfinite(w)) and w.min() >= np.finfo(float).tiny
+        assert -700.0 <= math.log(w.min()) <= math.log(w.max()) <= 700.0
 
 
 def test_window_delta_sets_the_norm_weight(table, nc_cloud):

@@ -2,6 +2,7 @@
 functions by name; these tests fail when a rename breaks it."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -81,6 +82,16 @@ def test_traced_cli_run_counts_points_pairs_and_windows(spans, tmp_path,
     assert tracer.counts["assembly.points"] == 1428
     assert tracer.counts["assembly.neighbor_graph.near_pairs"] == 1435
     assert tracer.counts["fields.windows"] == 28
+    # one u0_at call per bump a window's reach selects (224 over the 28
+    # windows; the half_width + 30 reach took 294), plus the projection
+    # calibration's two-bump window
+    config = assembly.load_cloud(cloud, 10.0)
+    with open(tmp_path / "diag.json") as fh:
+        rows = [row["index"] for row in json.load(fh)["points"]]
+    bumps = sum(len(fields._window_points(config, fields.FieldWindow(
+        config.positions[i].item(), 4.5))) for i in rows)
+    assert bumps == 224
+    assert tracer.counts["interaction.u0_at.calls"] == bumps + 2
     for name in ("assembly.generate_cloud", "assembly.save_cloud",
                  "assembly.neighbor_graph", "assembly.load_cloud"):
         assert len(tracer.durations(name)) == 1, name
