@@ -315,9 +315,13 @@ def _select_windows(config, spec):
         return [i for i, prov in enumerate(config.provenance)
                 if prov.startswith("anchor:")]
     try:
-        sel = [int(s) for s in spec.split(",") if s.strip()]
+        # one window per index, in the order first named
+        sel = list(dict.fromkeys(int(s) for s in spec.split(",")
+                                 if s.strip()))
     except ValueError:
         raise NetworkError(f"bad --windows value {spec!r}")
+    if not sel:
+        raise NetworkError(f"--windows {spec!r} names no point index")
     for i in sel:
         if not 0 <= i < n:
             raise NetworkError(f"--windows index {i} is not in "

@@ -31,20 +31,20 @@ class FieldWindow:
     u: np.ndarray = None           # superposed field samples
     E: np.ndarray = None           # algebraic residual samples
     weight: np.ndarray = None      # weighted-norm weight samples
-    r_center: np.ndarray = None    # |x - center|, if a bump sits there
 
     def __post_init__(self):
         if self.spacing > 0.1 + 1e-12:
             raise ValueError("window spacing must resolve the bump scale "
                              "(need <= 0.1)")
 
-    def axes(self):
+    def offsets(self):
+        """Sample offsets from the centre along either axis."""
         n = int(round(2.0 * self.half_width / self.spacing)) + 1
-        x = self.center.real + np.linspace(-self.half_width,
-                                           self.half_width, n)
-        y = self.center.imag + np.linspace(-self.half_width,
-                                           self.half_width, n)
-        return x, y
+        return np.linspace(-self.half_width, self.half_width, n)
+
+    def axes(self):
+        off = self.offsets()
+        return self.center.real + off, self.center.imag + off
 
     def mesh(self):
         x, y = self.axes()
@@ -61,33 +61,54 @@ def _window_points(config, window):
     return list(zip(z[keep].tolist(), config.signs[k[keep]].tolist()))
 
 
+def _cached(table, key, build):
+    """table.field_cache[key], made by build() on first use. A window's
+    template depends on its shape, not on where it sits, so every window
+    of one shape shares it."""
+    cache = table.field_cache
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+def _bump_terms(table, dx, dy, delta):
+    """u0, f(u0) and the norm-weight term exp(delta sqrt(1 + |x - z|^2))
+    of a bump z, on the offsets dx (column) and dy (row) from it."""
+    u0 = table.u0_at(np.hypot(dx, dy))
+    return (u0, table.nl.f(u0),
+            np.exp(delta * np.sqrt(1.0 + dx ** 2 + dy ** 2)))
+
+
 def residual(config, window, table):
     """Algebraic residual f(sum eta u0) - sum eta f(u0) on the window.
 
     The identity avoids any numerical Laplacian: each summand solves the
     equation exactly, so only the nonlinear cross terms remain. The same
     pass over the bumps sums the norm weight
-    sum_z exp(delta sqrt(1 + |x - z|^2)) at the window's delta and keeps
-    the distance grid of a bump at the window center for the projection.
+    sum_z exp(delta sqrt(1 + |x - z|^2)) at the window's delta. Each bump
+    is placed by its offset from the window centre; a bump at the centre
+    takes the template of the window's shape.
     """
-    x, y = window.axes()
-    u = np.zeros((x.size, y.size))
+    off = window.offsets()
+    u = np.zeros((off.size, off.size))
     lin = np.zeros_like(u)
     w = np.zeros_like(u)
-    f = table.nl.f
-    window.r_center = None
     for z, s in _window_points(config, window):
-        dx = (x - z.real)[:, None]
-        dy = (y - z.imag)[None, :]
-        r = np.hypot(dx, dy)
-        u0 = table.u0_at(r)
+        o = z - window.center
+        if o == 0:
+            u0, fu0, wz = _cached(
+                table, ("bump", window.half_width, window.spacing,
+                        window.delta),
+                lambda: _bump_terms(table, off[:, None], off[None, :],
+                                    window.delta))
+        else:
+            u0, fu0, wz = _bump_terms(table, (off - o.real)[:, None],
+                                      (off - o.imag)[None, :], window.delta)
         u += s * u0
-        lin += s * f(u0)
-        w += np.exp(window.delta * np.sqrt(1.0 + dx ** 2 + dy ** 2))
-        if z == window.center:
-            window.r_center = r
+        lin += s * fu0
+        w += wz
     window.u = u
-    window.E = f(u) - lin
+    window.E = table.nl.f(u) - lin
     window.weight = w
     return window
 
@@ -123,25 +144,30 @@ def cutoff_profile(s):
     return out if out.ndim else float(out)
 
 
-def _raw_projection(config, z, window, table, rho):
-    """Componentwise quadrature of E against chi(|x-z| - rho) grad u0."""
-    if window.E is None:
-        residual(config, window, table)
-    x, y = window.axes()
-    dx = (x - z.real)[:, None]
-    dy = (y - z.imag)[None, :]
-    r = window.r_center
-    if r is None or z != window.center:
-        r = np.hypot(dx, dy)
+def _projection_kernels(table, window, rho):
+    """Flattened kx, ky: chi(|x - c| - rho) grad u0(|x - c|) about the
+    window centre c, times the 2-D trapezoid weights."""
+    off = window.offsets()
+    dx, dy = off[:, None], off[None, :]
+    r = np.hypot(dx, dy)
     du = table.du0_at(r)
     nz = r > 0
-    gx = np.divide(du * dx, r, out=np.zeros_like(r), where=nz)
-    gy = np.divide(du * dy, r, out=np.zeros_like(r), where=nz)
-    Ec = window.E * cutoff_profile(r - rho)
-    h = window.spacing
-    ex = float(np.trapezoid(np.trapezoid(Ec * gx, dx=h), dx=h))
-    ey = float(np.trapezoid(np.trapezoid(Ec * gy, dx=h), dx=h))
-    return complex(ex, ey)
+    trap = np.full(off.size, window.spacing)
+    trap[[0, -1]] /= 2.0
+    chi = cutoff_profile(r - rho) * np.outer(trap, trap)
+    kx = np.divide(du * dx, r, out=np.zeros_like(r), where=nz) * chi
+    ky = np.divide(du * dy, r, out=np.zeros_like(r), where=nz) * chi
+    return kx.ravel(), ky.ravel()
+
+
+def _raw_projection(window, table, rho):
+    """Quadrature of the window's E against chi(|x - c| - rho) grad u0
+    about its centre c, as two dot products with the shape's kernels."""
+    kx, ky = _cached(table, ("kernel", window.half_width, window.spacing,
+                             rho),
+                     lambda: _projection_kernels(table, window, rho))
+    e = window.E.ravel()
+    return complex(e @ kx, e @ ky)
 
 
 def projection_scale(table, rho):
@@ -149,39 +175,42 @@ def projection_scale(table, rho):
     (with cutoff radius rho) to the pair interaction, fixed per table by
     the two-point oracle: two positive bumps at distance 8 (or far enough
     to clear the cutoff) must attract with strength Upsilon along the
-    axis."""
-    cache = getattr(table, "_projection_scale", None)
-    if cache is None:
-        cache = table._projection_scale = {}
-    key = round(rho, 9)
-    if key in cache:
-        return cache[key]
-    from .assembly import Configuration
-    s = max(8.0, 2.0 * rho + 4.0)
-    cfg = Configuration([0j, complex(s, 0.0)], [1, 1],
-                        ["cal:left", "cal:right"], s)
-    win = FieldWindow(0j, rho + 2.0)
-    g = _raw_projection(cfg, 0j, win, table, rho)
-    scale = g.real / float(table.upsilon(s))
-    if scale == 0.0:
-        raise RuntimeError("projection calibration degenerated")
-    cache[key] = scale
-    return scale
+    axis. The calibration window has an assembled window's shape, so the
+    windows reuse its projection kernels (and, at the default delta, its
+    centre bump)."""
+    def calibrate():
+        from .assembly import Configuration
+        s = max(8.0, 2.0 * rho + 4.0)
+        cfg = Configuration([0j, complex(s, 0.0)], [1, 1],
+                            ["cal:left", "cal:right"], s)
+        win = residual(cfg, FieldWindow(0j, rho + 2.0), table)
+        ups = float(table.upsilon(s))
+        scale = _raw_projection(win, table, rho).real / ups
+        if scale == 0.0:
+            raise RuntimeError("projection calibration degenerated")
+        return scale
+    return _cached(table, ("scale", rho), calibrate)
 
 
 def project_force(config, z, table, window=None, spacing=0.1):
     """Calibrated projection of the residual onto the cutoff gradient
-    centered at z: the leading term of the force on the bump at z. Under
-    the calibration, two positive bumps attract (the projection at the
-    left bump of a +/+ pair points toward the right bump)."""
+    centered at z, the window's centre: the leading term of the force on
+    the bump at z. Under the calibration, two positive bumps attract (the
+    projection at the left bump of a +/+ pair points toward the right
+    bump). NaN at a non-finite z, so that a gate on it fails."""
     rho = config.ell / 4.0
     if window is None:
         window = FieldWindow(z, rho + 2.0, spacing)
     if window.half_width < rho + 2.0 - 1e-9:
         raise ValueError("projection window must extend ell/4 + 2 beyond "
                          "the point")
-    g = _raw_projection(config, z, window, table, rho)
-    return g / projection_scale(table, rho)
+    if window.center != z and cmath.isfinite(z):
+        raise ValueError("project_force projects at its window's centre")
+    if window.E is None:
+        residual(config, window, table)
+    if not cmath.isfinite(z):
+        return complex(math.nan, math.nan)
+    return _raw_projection(window, table, rho) / projection_scale(table, rho)
 
 
 def predicted_force(config, z_index, table, band=0.5):

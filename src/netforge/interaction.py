@@ -215,6 +215,9 @@ class InteractionTable:
         self._ls_lo, self._ls_hi = self._ls(self.s[[-1, 0]])
         # first guess for the inverse of _ls, polished by Newton in alpha_ell
         self._ls_inv = CubicSpline(self.ln_ups[::-1], self.s[::-1])
+        # what the field layer derives from this profile once and reuses:
+        # window templates per window shape, projection scales per radius
+        self.field_cache = {}
 
     def _upsilon_quadrature(self, s):
         """Upsilon at the lengths `s` on the grid of upsilon_direct: the

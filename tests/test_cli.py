@@ -160,6 +160,24 @@ def test_assemble_is_deterministic(tmp_path, cache_env):
     assert d1.read_bytes() == d2.read_bytes()
 
 
+def test_assemble_computes_each_named_window_once(tmp_path, cache_env):
+    # a repeated index names one window: one row, the same output
+    cloud = tmp_path / "line.csv"
+    cloud.write_text("x,y,sign,provenance\n" + "".join(
+        f"{10 * i},0,1,anchor:p{i}:o\n" for i in range(7)))
+    outs = []
+    for windows in ("5,5,5", "5"):
+        diag = tmp_path / f"diag{len(windows)}.json"
+        r = run_cli(["assemble", str(cloud), "--ell", "10",
+                     "--windows", windows, "--out", str(diag)],
+                    tmp_path, cache_env)
+        assert r.returncode == 0, r.stderr
+        assert "(1 windows" in r.stdout
+        outs.append(diag.read_bytes())
+    assert outs[0] == outs[1]
+    assert [p["index"] for p in json.loads(outs[0])["points"]] == [5]
+
+
 def test_assemble_gate_fails_on_nan_projection(tmp_path, cache_env):
     # a NaN mid-chain point gives a NaN projection, which must fail the
     # gate rather than drop out of the worst-projection maximum
@@ -296,7 +314,7 @@ BAD_INPUTS = [
     *[(cmd, ["--ell", ell]) for cmd in ("configure", "assemble")
       for ell in ("1", "nan", "200")],
     *[("configure", ["--kappa", kappa]) for kappa in ("0", "-3", "nan")],
-    *[("assemble", ["--windows", w]) for w in ("99999", "-1")],
+    *[("assemble", ["--windows", w]) for w in ("99999", "-1", ",", "")],
     *[("assemble", ["--delta", d])
       for d in ("nan", "inf", "-inf", "-1000", "1000", "19.6")],
 ]

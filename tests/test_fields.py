@@ -1,15 +1,18 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import k0, k1
 
-from netforge import fields
+from netforge import cli, fields
 from netforge.assembly import (Configuration, diagnostic_chain_cloud,
                                generate_cloud, solve_master)
 from netforge.builders import example_5_1, n_c_assembly
 from netforge.fields import (DELTA_DEFAULT, REACH, FieldWindow,
-                             _raw_projection, _window_points,
+                             _window_points,
                              cutoff_profile, delta_limit,
                              load_field, pohozaev_defect, predicted_force,
                              project_force, refine, residual, residual_norms,
@@ -259,18 +262,38 @@ def _residual_loop(config, window, table, z, rho, delta):
             complex(ex, ey))
 
 
-def _assert_window_matches_loop(cfg, z, at, table, delta):
-    """The window on z, projected at `at`, equals the reference loop's."""
+def _reference_scale(table, rho):
+    """Reference calibration: projection_scale's two-bump window, on the
+    reference loop."""
+    s = max(8.0, 2.0 * rho + 4.0)
+    cal = Configuration([0j, complex(s, 0.0)], [1, 1], ["l", "r"], s)
+    raw = _residual_loop(cal, FieldWindow(0j, rho + 2.0), table, 0j, rho,
+                         DELTA_DEFAULT)[4]
+    return raw.real / float(table.upsilon(s))
+
+
+def _assert_window_matches_loop(cfg, c, table, delta):
+    """The window on c, projected at c, matches the reference loop within
+    the drift of placing the bumps by their offsets from c: 1e-10
+    Upsilon(ell) + 1e-15 on the projection, 1e-10 sup + 8 eps f(beta) on
+    E and its sup (that floor over the smallest weight on the weighted
+    norm), and the gate on the projection decides alike."""
     rho = cfg.ell / 4.0
-    window = FieldWindow(z, rho + 2.0)
-    g = _raw_projection(cfg, at, window, table, rho)
+    window = FieldWindow(c, rho + 2.0)
+    g = project_force(cfg, c, table, window)
     sup, weighted = residual_norms(cfg, window, table, delta)
-    u, E, ref_sup, ref_weighted, ref_g = _residual_loop(
-        cfg, window, table, at, rho, delta)
-    assert np.array_equal(window.u, u)
-    assert np.array_equal(window.E, E)
-    assert (sup, weighted) == (ref_sup, ref_weighted)
-    assert g == ref_g
+    _, E, ref_sup, ref_weighted, ref_raw = _residual_loop(
+        cfg, window, table, c, rho, delta)
+    ref_g = ref_raw / _reference_scale(table, rho)
+    ups = float(table.upsilon(cfg.ell))
+    floor = 8.0 * np.finfo(float).eps * float(table.nl.f(table.beta))
+    assert abs(g - ref_g) <= 1e-10 * ups + 1e-15
+    assert np.max(np.abs(window.E - E)) <= 1e-10 * ref_sup + floor
+    assert abs(sup - ref_sup) <= 1e-10 * ref_sup + floor
+    assert abs(weighted - ref_weighted) <= \
+        1e-10 * ref_weighted + floor / window.weight.min()
+    threshold = 0.05 * ups
+    assert (abs(g) <= threshold) == (abs(ref_g) <= threshold)
 
 
 def _spread_windows(cfg):
@@ -282,15 +305,46 @@ def _spread_windows(cfg):
 
 @pytest.mark.parametrize("delta", [DELTA_DEFAULT, -0.3])
 def test_one_pass_window_matches_loop(table, ex51_cloud, nc_cloud, delta):
-    # windows on anchors and on spread points; each also projects at a
-    # point off its center, where no bump's distances can be reused.
-    # The windows take the default delta, so -0.3 makes residual_norms
-    # redo the pass at its own delta.
+    # windows on anchors and on spread points, where the centre bump comes
+    # from the template, and windows off them, where every bump is placed
+    # by its offset. The windows take the default delta, so -0.3 makes
+    # residual_norms redo the pass at its own delta.
     for cfg in (ex51_cloud, nc_cloud):
         for i in _spread_windows(cfg):
             z = cfg.points[i].z
-            for at in (z, z + 0.37 - 0.21j):
-                _assert_window_matches_loop(cfg, z, at, table, delta)
+            for c in (z, z + 0.37 - 0.21j):
+                _assert_window_matches_loop(cfg, c, table, delta)
+
+
+@pytest.mark.parametrize("ell", [10.0, 30.0, 50.0])
+def test_large_cloud_windows_match_loop(table, ell):
+    # ex51 k 7 at kappa 1024: anchors and the gated mid-chain points. From
+    # ell ~ 35 on, E near a bump is rounding noise, so the absolute floor
+    # of the projection bound is what holds there.
+    cfg = generate_cloud(solve_master(example_5_1(7), 1024.0, ell, table),
+                         table)
+    anchors = [i for i, prov in enumerate(cfg.provenance)
+               if prov.startswith("anchor:")]
+    for i in anchors[:3] + cli._midchain_indices(cfg)[:4]:
+        _assert_window_matches_loop(cfg, cfg.positions[i].item(), table,
+                                    DELTA_DEFAULT)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ell=st.floats(3.0, 20.0),
+       centre=st.complex_numbers(max_magnitude=500.0),
+       others=st.lists(st.tuples(st.floats(1.0, 2.0), st.floats(0.0, 6.3),
+                                 st.sampled_from([1, -1])),
+                       min_size=1, max_size=5),
+       sign=st.sampled_from([1, -1]))
+def test_random_cloud_window_matches_loop(table, ell, centre, others, sign):
+    # 2-6 bumps, the window on one of them, the others between ell and
+    # 2 ell from it
+    zs = [centre] + [centre + d * ell * cmath.exp(1j * t)
+                     for d, t, _ in others]
+    signs = [sign] + [s for _, _, s in others]
+    cfg = Configuration(zs, signs, [f"p{i}" for i in range(len(zs))], ell)
+    _assert_window_matches_loop(cfg, centre, table, DELTA_DEFAULT)
 
 
 @pytest.mark.parametrize("ell", [60.0, 110.0])
@@ -306,8 +360,17 @@ def test_window_mixing_grid_and_tail_matches_loop(table, ell):
         for zb, _ in _window_points(cfg, window):
             r = np.hypot(X - zb.real, Y - zb.imag)
             mixed += r.min() <= table.r[-1] < r.max()
-        _assert_window_matches_loop(cfg, c, c, table, DELTA_DEFAULT)
+        _assert_window_matches_loop(cfg, c, table, DELTA_DEFAULT)
     assert mixed >= 2
+
+
+def test_projection_only_at_window_centre(table):
+    cfg = two_point_config(10.0)
+    with pytest.raises(ValueError):
+        project_force(cfg, 0j, table, window=FieldWindow(0.5 + 0j, 4.5))
+    nan = complex("nan")
+    g = project_force(cfg, nan, table, window=FieldWindow(nan, 4.5))
+    assert math.isnan(g.real) and math.isnan(g.imag)
 
 
 def test_reach_drift_from_cutoff_30(table, ex51_cloud, nc_cloud,

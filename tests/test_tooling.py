@@ -83,15 +83,18 @@ def test_traced_cli_run_counts_points_pairs_and_windows(spans, tmp_path,
     assert tracer.counts["assembly.neighbor_graph.near_pairs"] == 1435
     assert tracer.counts["fields.windows"] == 28
     # one u0_at call per bump a window's reach selects (224 over the 28
-    # windows; the half_width + 30 reach took 294), plus the projection
-    # calibration's two-bump window
+    # windows; the half_width + 30 reach took 294), except the bump at each
+    # window's centre: all 28 share one template, built once for the
+    # window shape. The projection calibration's two-bump window has that
+    # shape too, so it adds only its off-centre bump.
     config = assembly.load_cloud(cloud, 10.0)
     with open(tmp_path / "diag.json") as fh:
         rows = [row["index"] for row in json.load(fh)["points"]]
     bumps = sum(len(fields._window_points(config, fields.FieldWindow(
         config.positions[i].item(), 4.5))) for i in rows)
     assert bumps == 224
-    assert tracer.counts["interaction.u0_at.calls"] == bumps + 2
+    off_centre = bumps - len(rows) + 1
+    assert tracer.counts["interaction.u0_at.calls"] == off_centre + 1
     for name in ("assembly.generate_cloud", "assembly.save_cloud",
                  "assembly.neighbor_graph", "assembly.load_cloud"):
         assert len(tracer.durations(name)) == 1, name
