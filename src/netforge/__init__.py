@@ -19,8 +19,7 @@ from .assembly import (Assembly, SubNetwork, verify_assembly,
                        neighbor_graph, save_cloud, load_cloud, chain_matrix,
                        chain_matrix_inverse, chain_correct,
                        diagnostic_chain_cloud, save_assembly, load_assembly)
-from .fields import (FieldWindow, residual, residual_norms,
-                     project_force, predicted_force, pohozaev_defect, refine,
-                     save_field, load_field)
+from .fields import (Field, FieldWindow, residual, residual_norms,
+                     project_force, predicted_force, pohozaev_defect, refine)
 from .builders import (assembly_catalog, assembly_names, example_5_1,
                        example_5_2, n_c_assembly, n_v_assembly)

@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 from .geometry import Piece, pieces_conflict
 from .linearize import augmented_df_a
 from .network import (Network, NetworkError, bond_forces, edge_key, forces,
-                      network_from_obj, network_to_obj)
+                      json_member, network_from_obj, network_to_obj)
 from .solvers import NewtonInfo, SolverError, damped_newton
 
 GEOM_TOL = 1e-9
@@ -83,19 +83,22 @@ def assembly_to_obj(asm):
 
 
 def assembly_from_obj(obj):
-    master = network_from_obj(obj["master"])
+    master = network_from_obj(json_member(obj, "master", "assembly"))
     subs = {}
     signs = {}
-    for p, rec in obj["subassembly"].items():
+    for p, rec in json_member(obj, "subassembly", "assembly", dict).items():
+        what = f"sub-network {p!r}"
         anchors = {}
-        for key, r in rec["anchors"].items():
+        for key, r in json_member(rec, "anchors", what, dict).items():
             src, _, q = key.partition("->")
             if src != p or not q:
                 raise NetworkError(f"bad anchor key {key!r} at {p!r}")
             anchors[q] = r
-        subs[p] = SubNetwork(network_from_obj(rec["network"]), anchors)
+        subs[p] = SubNetwork(network_from_obj(json_member(rec, "network",
+                                                          what)), anchors)
         if "signs" in rec:
-            signs[p] = {r: int(s) for r, s in rec["signs"].items()}
+            signs[p] = {r: int(s) for r, s in
+                        json_member(rec, "signs", what, dict).items()}
     return Assembly(master, subs, signs)
 
 

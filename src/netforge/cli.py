@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .assembly import (CLOUD_HEADER, generate_cloud, load_assembly,
-                       load_cloud, neighbor_graph, save_cloud, solve_master,
+from .assembly import (generate_cloud, load_assembly, load_cloud,
+                       neighbor_graph, save_cloud, solve_master,
                        verify_assembly)
 from .builders import assembly_catalog, assembly_names
 from .catalog import catalog, catalog_names
 from .fields import (FieldWindow, delta_limit, predicted_force,
-                     project_force, residual_norms)
+                     project_force, residual, residual_norms)
 from .interaction import S_MAX, S_MIN, load_or_build
 from .linearize import certify
 from .network import NetworkError, load_network
@@ -80,8 +80,8 @@ _PARAM_FLAGS = ("k", "n", "theta", "nu", "mu", "a", "b",
                 "perturbation", "seed")
 
 
-def _add_catalog_flags(sp):
-    sp.add_argument("--catalog", help="catalog name")
+def _add_catalog_flags(sp, catalog_help="catalog name"):
+    sp.add_argument("--catalog", help=catalog_help)
     sp.add_argument("--k", type=int)
     sp.add_argument("--n", type=int)
     sp.add_argument("--theta", type=float)
@@ -135,7 +135,9 @@ def build_parser():
 
     g = sub.add_parser("configure", help="assembly -> point cloud CSV")
     g.add_argument("--assembly", help="assembly JSON file")
-    _add_catalog_flags(g)
+    _add_catalog_flags(g, "assembly catalog name; n_v and example_5_1 "
+                          "--k 3 are negative examples that exit 3 "
+                          "(vi_ray_separation) at every kappa")
     g.add_argument("--ell", type=_ell, default=10.0)
     g.add_argument("--kappa", type=_kappa, default=64.0)
     g.add_argument("--delta", type=float, default=0.05,
@@ -153,9 +155,8 @@ def build_parser():
     a.add_argument("--plot", help="optional residual heatmap SVG path")
     a.add_argument("--out", default="diagnostics.json")
 
-    r = sub.add_parser("plot", help="cloud CSV -> scatter SVG, "
-                                    "field CSV -> heatmap SVG")
-    r.add_argument("input", help="cloud or field CSV")
+    r = sub.add_parser("plot", help="cloud CSV -> scatter SVG")
+    r.add_argument("input", help="cloud CSV")
     r.add_argument("--out", default="plot.svg")
     return p
 
@@ -217,6 +218,8 @@ def cmd_configure(args):
                   f"(assembly names: {', '.join(assembly_names())})",
                   file=sys.stderr)
             return EXIT_USAGE
+        if not asm.master.edges:
+            raise NetworkError("the assembly's master network has no edges")
     except (OSError, NetworkError, TypeError, ValueError) as exc:
         print(f"configure: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -337,11 +340,12 @@ def _half_width(ell):
 
 def _point_row(config, idx, table, delta):
     z = config.positions[idx].item()
-    window = FieldWindow(z, _half_width(config.ell), delta=delta)
-    proj = project_force(config, z, table, window)
-    sup, weighted = residual_norms(config, window, table, delta)
+    field = residual(config, FieldWindow(z, _half_width(config.ell),
+                                         delta=delta), table)
+    proj = project_force(config, field, table)
+    sup, weighted = residual_norms(field)
     pred = predicted_force(config, idx, table)
-    return window, {
+    return field, {
         "index": idx, "provenance": config.provenance[idx],
         "sup_norm": sup, "weighted_norm": weighted,
         "projection": [proj.real, proj.imag],
@@ -385,13 +389,13 @@ def cmd_assemble(args):
     table = load_or_build()
     ups = float(table.upsilon(args.ell))
     rows = []
-    first_window = None
+    first_field = None
     for idx in sel:
-        window, row = _point_row(config, idx, table, args.delta)
+        field, row = _point_row(config, idx, table, args.delta)
         row["gated"] = False
         rows.append(row)
-        if first_window is None:
-            first_window = window
+        if first_field is None:
+            first_field = field
     threshold = 0.05 * ups
     gated = []
     seen = {r["index"]: r for r in rows}
@@ -426,9 +430,9 @@ def cmd_assemble(args):
         json.dump(obj, fh, indent=1, sort_keys=True, default=float)
         fh.write("\n")
     outputs = [args.out]
-    if args.plot and first_window is not None:
-        x, y = first_window.axes()
-        heatmap_svg(x, y, first_window.E, args.plot)
+    if args.plot and first_field is not None:
+        x, y = first_field.window.axes()
+        heatmap_svg(x, y, first_field.E, args.plot)
         outputs.append(args.plot)
     man = RunManifest("assemble", [args.cloud],
                       {"ell": args.ell, "delta": args.delta,
@@ -446,17 +450,8 @@ def cmd_assemble(args):
 def cmd_plot(args):
     start = time.perf_counter()
     try:
-        with open(args.input) as fh:
-            header = fh.readline().strip()
-        if header == CLOUD_HEADER:
-            config = load_cloud(args.input, 1.0)
-            scatter_svg(config.positions, config.signs, args.out)
-        elif header == "x,y,value":
-            from .fields import load_field
-            x, y, vals = load_field(args.input)
-            heatmap_svg(x, y, vals, args.out)
-        else:
-            raise NetworkError(f"unrecognized CSV header {header!r}")
+        config = load_cloud(args.input, 1.0)
+        scatter_svg(config.positions, config.signs, args.out)
     except (OSError, NetworkError, ValueError, OverflowError) as exc:
         print(f"plot: {exc}", file=sys.stderr)
         return EXIT_USAGE

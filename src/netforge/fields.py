@@ -8,11 +8,13 @@ configuration scales would be far too large.
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import eye, kron, diags
 
+from .interaction import f, fprime
 from .solvers import damped_newton
 
 # A window sums the bumps within half_width + ell + REACH of its centre. A
@@ -22,15 +24,14 @@ REACH = 15.0
 DELTA_DEFAULT = -0.5   # weighted-norm exponent
 
 
-@dataclass
+@dataclass(frozen=True)
 class FieldWindow:
+    """A square sample grid about `center`; `delta` is the exponent of
+    the residual norm weight on it."""
     center: complex
     half_width: float
     spacing: float = 0.1
-    delta: float = DELTA_DEFAULT   # exponent of the residual norm weight
-    u: np.ndarray = None           # superposed field samples
-    E: np.ndarray = None           # algebraic residual samples
-    weight: np.ndarray = None      # weighted-norm weight samples
+    delta: float = DELTA_DEFAULT
 
     def __post_init__(self):
         if self.spacing > 0.1 + 1e-12:
@@ -51,6 +52,16 @@ class FieldWindow:
         return np.meshgrid(x, y, indexing="ij")
 
 
+@dataclass(frozen=True, eq=False)
+class Field:
+    """The superposed field on a window, as read-only sample arrays: u,
+    its algebraic residual E, and the norm weight at the window's delta."""
+    window: FieldWindow
+    u: np.ndarray
+    E: np.ndarray
+    weight: np.ndarray
+
+
 def _window_points(config, window):
     """(position, sign) pairs of the bumps within the window's reach,
     half_width + ell + REACH of its centre."""
@@ -61,11 +72,16 @@ def _window_points(config, window):
     return list(zip(z[keep].tolist(), config.signs[k[keep]].tolist()))
 
 
+# per table: what the windows derive from its profile once and reuse, the
+# templates per window shape and the projection scales per radius
+_TABLE_CACHE = weakref.WeakKeyDictionary()
+
+
 def _cached(table, key, build):
-    """table.field_cache[key], made by build() on first use. A window's
-    template depends on its shape, not on where it sits, so every window
-    of one shape shares it."""
-    cache = table.field_cache
+    """The cached value for `key` of `table`, made by build() on first
+    use. A window's template depends on its shape, not on where it sits,
+    so every window of one shape shares it."""
+    cache = _TABLE_CACHE.setdefault(table, {})
     if key not in cache:
         cache[key] = build()
     return cache[key]
@@ -75,12 +91,13 @@ def _bump_terms(table, dx, dy, delta):
     """u0, f(u0) and the norm-weight term exp(delta sqrt(1 + |x - z|^2))
     of a bump z, on the offsets dx (column) and dy (row) from it."""
     u0 = table.u0_at(np.hypot(dx, dy))
-    return (u0, table.nl.f(u0),
+    return (u0, f(u0),
             np.exp(delta * np.sqrt(1.0 + dx ** 2 + dy ** 2)))
 
 
 def residual(config, window, table):
-    """Algebraic residual f(sum eta u0) - sum eta f(u0) on the window.
+    """The Field of `window`: the algebraic residual
+    E = f(sum eta u0) - sum eta f(u0) of the superposed field u.
 
     The identity avoids any numerical Laplacian: each summand solves the
     equation exactly, so only the nonlinear cross terms remain. The same
@@ -107,10 +124,10 @@ def residual(config, window, table):
         u += s * u0
         lin += s * fu0
         w += wz
-    window.u = u
-    window.E = table.nl.f(u) - lin
-    window.weight = w
-    return window
+    E = f(u) - lin
+    for a in (u, E, w):
+        a.flags.writeable = False
+    return Field(window, u, E, w)
 
 
 def delta_limit(half_width, ell):
@@ -123,17 +140,14 @@ def delta_limit(half_width, ell):
     return 700.0 / math.hypot(1.0, d)
 
 
-def residual_norms(config, window, table, delta=DELTA_DEFAULT):
-    """(sup norm, weighted norm) of the residual on the window; the weight
-    is sum_z exp(delta sqrt(1 + |x - z|^2)). Both are NaN on a window
-    centred on a non-finite point."""
-    if not cmath.isfinite(window.center):
+def residual_norms(field):
+    """(sup norm, weighted norm) of the field's residual; the weight is
+    sum_z exp(delta sqrt(1 + |x - z|^2)) at its window's delta. Both are
+    NaN on a window centred on a non-finite point."""
+    if not cmath.isfinite(field.window.center):
         return math.nan, math.nan
-    if window.E is None or window.delta != delta:
-        window.delta = delta
-        residual(config, window, table)
-    size = np.abs(window.E)
-    return float(np.max(size)), float(np.max(size / window.weight))
+    size = np.abs(field.E)
+    return float(np.max(size)), float(np.max(size / field.weight))
 
 
 def cutoff_profile(s):
@@ -160,13 +174,15 @@ def _projection_kernels(table, window, rho):
     return kx.ravel(), ky.ravel()
 
 
-def _raw_projection(window, table, rho):
-    """Quadrature of the window's E against chi(|x - c| - rho) grad u0
-    about its centre c, as two dot products with the shape's kernels."""
+def _raw_projection(field, table, rho):
+    """Quadrature of the field's E against chi(|x - c| - rho) grad u0
+    about its window's centre c, as two dot products with the shape's
+    kernels."""
+    window = field.window
     kx, ky = _cached(table, ("kernel", window.half_width, window.spacing,
                              rho),
                      lambda: _projection_kernels(table, window, rho))
-    e = window.E.ravel()
+    e = field.E.ravel()
     return complex(e @ kx, e @ ky)
 
 
@@ -183,34 +199,28 @@ def projection_scale(table, rho):
         s = max(8.0, 2.0 * rho + 4.0)
         cfg = Configuration([0j, complex(s, 0.0)], [1, 1],
                             ["cal:left", "cal:right"], s)
-        win = residual(cfg, FieldWindow(0j, rho + 2.0), table)
+        cal = residual(cfg, FieldWindow(0j, rho + 2.0), table)
         ups = float(table.upsilon(s))
-        scale = _raw_projection(win, table, rho).real / ups
+        scale = _raw_projection(cal, table, rho).real / ups
         if scale == 0.0:
             raise RuntimeError("projection calibration degenerated")
         return scale
     return _cached(table, ("scale", rho), calibrate)
 
 
-def project_force(config, z, table, window=None, spacing=0.1):
-    """Calibrated projection of the residual onto the cutoff gradient
-    centered at z, the window's centre: the leading term of the force on
-    the bump at z. Under the calibration, two positive bumps attract (the
-    projection at the left bump of a +/+ pair points toward the right
-    bump). NaN at a non-finite z, so that a gate on it fails."""
+def project_force(config, field, table):
+    """Calibrated projection of the field's residual onto the cutoff
+    gradient centred at its window's centre z: the leading term of the
+    force on the bump at z. Under the calibration, two positive bumps
+    attract (the projection at the left bump of a +/+ pair points toward
+    the right bump). NaN at a non-finite z, so that a gate on it fails."""
     rho = config.ell / 4.0
-    if window is None:
-        window = FieldWindow(z, rho + 2.0, spacing)
-    if window.half_width < rho + 2.0 - 1e-9:
+    if field.window.half_width < rho + 2.0 - 1e-9:
         raise ValueError("projection window must extend ell/4 + 2 beyond "
                          "the point")
-    if window.center != z and cmath.isfinite(z):
-        raise ValueError("project_force projects at its window's centre")
-    if window.E is None:
-        residual(config, window, table)
-    if not cmath.isfinite(z):
+    if not cmath.isfinite(field.window.center):
         return complex(math.nan, math.nan)
-    return _raw_projection(window, table, rho) / projection_scale(table, rho)
+    return _raw_projection(field, table, rho) / projection_scale(table, rho)
 
 
 def predicted_force(config, z_index, table, band=0.5):
@@ -260,7 +270,7 @@ def pohozaev_defect(window, u, fvals, xi, decay_tol=1e-5):
 
 @dataclass
 class RefineResult:
-    window: FieldWindow
+    start: Field                  # the superposed field Newton starts from
     u: np.ndarray
     residual: float
     iterations: int
@@ -276,52 +286,22 @@ def refine(config, table, half_width, spacing=0.1, tol=1e-10, maxiter=40,
     superposed field.
     Experimental: configurations without a nearby true solution drift or
     stall, which is reported rather than raised."""
-    window = residual(config, FieldWindow(center, half_width, spacing),
-                      table)
-    ni = window.u.shape[0] - 2
+    start = residual(config, FieldWindow(center, half_width, spacing), table)
+    ni = start.u.shape[0] - 2
     h = spacing
     main = -2.0 * np.ones(ni) / h ** 2
     off = np.ones(ni - 1) / h ** 2
     D2 = diags([off, main, off], [-1, 0, 1], format="csc")
     I = eye(ni, format="csc")
     A = (kron(D2, I) + kron(I, D2) - eye(ni * ni, format="csc")).tocsc()
-    f = table.nl.f
-    fp = table.nl.fprime
-    u0 = window.u[1:-1, 1:-1].ravel()
+    u0 = start.u[1:-1, 1:-1].ravel()
     u, info = damped_newton(lambda v: A @ v + f(v), u0,
-                            jac=lambda v: A + diags(fp(v), 0, format="csc"),
+                            jac=lambda v: A + diags(fprime(v), 0,
+                                                    format="csc"),
                             tol=tol, maxiter=maxiter)
-    full = np.zeros_like(window.u)
+    full = np.zeros_like(start.u)
     full[1:-1, 1:-1] = u.reshape(ni, ni)
     drift = float(np.max(np.abs(u - u0)))
-    return RefineResult(window, full, info.residual, info.iterations,
+    return RefineResult(start, full, info.residual, info.iterations,
                         info.converged, drift, info.history)
 
-
-def save_field(window, values, path):
-    x, y = window.axes()
-    with open(path, "w") as fh:
-        fh.write("x,y,value\n")
-        for i in range(len(x)):
-            for j in range(len(y)):
-                fh.write(f"{x[i]:.17g},{y[j]:.17g},{values[i, j]:.17g}\n")
-
-
-def load_field(path):
-    xs, ys, vs = [], [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "x,y,value":
-            raise ValueError(f"unexpected field header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, b, c = line.split(",")
-            xs.append(float(a))
-            ys.append(float(b))
-            vs.append(float(c))
-    x = np.unique(xs)
-    y = np.unique(ys)
-    vals = np.array(vs).reshape(len(x), len(y))
-    return x, y, vals

@@ -1,5 +1,5 @@
-"""Radial ground state of Delta u - u + f(u) = 0 and the derived
-pair-interaction quantities.
+"""Radial ground state of Delta u - u + f(u) = 0, f(u) = u^3, and the
+derived pair-interaction quantities.
 
 The profile is computed by shooting and bisection; beyond r_switch the
 stored profile is the matched Bessel tail A*K0(r), which avoids the
@@ -17,7 +17,6 @@ consumers go through an InteractionTable, which can be cached on disk.
 import hashlib
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -25,30 +24,20 @@ from scipy.interpolate import CubicSpline
 from scipy.special import i1, k0, k1
 
 
-@dataclass(frozen=True)
-class Nonlinearity:
-    p: float = 3.0
-    c: float = 0.0
-    q: float = 5.0
-
-    def f(self, u):
-        out = np.abs(u) ** (self.p - 1) * u
-        if self.c:
-            out = out - self.c * np.abs(u) ** (self.q - 1) * u
-        return out
-
-    def fprime(self, u):
-        out = self.p * np.abs(u) ** (self.p - 1)
-        if self.c:
-            out = out - self.c * self.q * np.abs(u) ** (self.q - 1)
-        return out
-
-    @property
-    def key(self):
-        return f"p{self.p:g}_c{self.c:g}_q{self.q:g}"
+def f(u):
+    """The nonlinearity u^3, written |u|^2 u."""
+    return np.abs(u) ** 2.0 * u
 
 
-CUBIC = Nonlinearity()
+def fprime(u):
+    """f'(u) = 3 |u|^2."""
+    return 3.0 * np.abs(u) ** 2.0
+
+
+# f as |u|^{p-1} u - c |u|^{q-1} u at (p, c, q) = PCQ: table files record
+# it, and the cache tag names it so, which keeps existing cache file names
+PCQ = (3.0, 0.0, 5.0)
+NL_KEY = "p{:g}_c{:g}_q{:g}".format(*PCQ)
 
 R_MAX = 50.0
 DR = 0.005
@@ -63,18 +52,16 @@ S_CLOSED = 25.0
 R_SUPPORT = 14.0
 
 
-def _rhs(nl):
-    def rhs(r, y):
-        u, v = y
-        return (v, -v / r + u - nl.f(u))
-    return rhs
+def _rhs(r, y):
+    u, v = y
+    return (v, -v / r + u - f(u))
 
 
-def _shoot(nl, beta, r_end, rtol=1e-13, dense=False):
+def _shoot(beta, r_end, rtol=1e-13, dense=False):
     """Integrate from a series start near r = 0; terminate at the first
     zero crossing of u (downward) or of u' (upward, u still positive)."""
     r0 = 1e-3
-    c2 = (beta - nl.f(beta)) / 4.0
+    c2 = (beta - f(beta)) / 4.0
     y0 = (beta + c2 * r0 * r0, 2.0 * c2 * r0)
 
     def hit_zero(r, y):
@@ -87,19 +74,19 @@ def _shoot(nl, beta, r_end, rtol=1e-13, dense=False):
     turn_up.terminal = True
     turn_up.direction = 1
 
-    sol = solve_ivp(_rhs(nl), (r0, r_end), y0, method="DOP853",
+    sol = solve_ivp(_rhs, (r0, r_end), y0, method="DOP853",
                     rtol=rtol, atol=1e-16, events=(hit_zero, turn_up),
                     dense_output=dense)
     return sol
 
 
-def ground_state_beta(nl=CUBIC, bracket=(1.5, 3.0), iters=62):
+def ground_state_beta(bracket=(1.5, 3.0), iters=62):
     """Central value u(0) of the positive radial ground state, by bisection
     on the shooting parameter."""
     lo, hi = bracket
 
     def classify(beta):
-        sol = _shoot(nl, beta, 30.0, rtol=1e-10)
+        sol = _shoot(beta, 30.0, rtol=1e-10)
         if sol.t_events[0].size:      # crossed zero: beta too big
             return 1
         if sol.t_events[1].size:      # turned back up: beta too small
@@ -119,10 +106,10 @@ def ground_state_beta(nl=CUBIC, bracket=(1.5, 3.0), iters=62):
     return 0.5 * (lo + hi)
 
 
-def _profile_grid(nl, beta):
+def _profile_grid(beta):
     """(r, u0, du0, A): grid profile with the K0 tail glued at R_SWITCH."""
     r = np.arange(0.0, R_MAX + DR / 2, DR)
-    sol = _shoot(nl, beta, R_SWITCH + 0.5, rtol=1e-13, dense=True)
+    sol = _shoot(beta, R_SWITCH + 0.5, rtol=1e-13, dense=True)
     if sol.t[-1] < R_SWITCH:
         raise RuntimeError("profile terminated before the matching radius")
     u = np.empty_like(r)
@@ -131,7 +118,7 @@ def _profile_grid(nl, beta):
     vals = sol.sol(r[inner])
     u[inner] = vals[0]
     du[inner] = vals[1]
-    c2 = (beta - nl.f(beta)) / 4.0
+    c2 = (beta - f(beta)) / 4.0
     small = r <= 1e-3
     u[small] = beta + c2 * r[small] ** 2
     du[small] = 2.0 * c2 * r[small]
@@ -190,8 +177,7 @@ class InteractionTable:
     Without `ln_ups` the table computes Upsilon by quadrature on its own
     profile at the lengths `s` (default: S_MIN to S_MAX in S_STEP)."""
 
-    def __init__(self, nl, beta, r, u0, du0, A, s=None, ln_ups=None):
-        self.nl = nl
+    def __init__(self, beta, r, u0, du0, A, s=None, ln_ups=None):
         self.beta = float(beta)
         self.r = np.asarray(r, dtype=float)
         self.u0 = np.asarray(u0, dtype=float)
@@ -215,9 +201,6 @@ class InteractionTable:
         self._ls_lo, self._ls_hi = self._ls(self.s[[-1, 0]])
         # first guess for the inverse of _ls, polished by Newton in alpha_ell
         self._ls_inv = CubicSpline(self.ln_ups[::-1], self.s[::-1])
-        # what the field layer derives from this profile once and reuses:
-        # window templates per window shape, projection scales per radius
-        self.field_cache = {}
 
     def _upsilon_quadrature(self, s):
         """Upsilon at the lengths `s` on the grid of upsilon_direct: the
@@ -312,15 +295,20 @@ class InteractionTable:
     # --- persistence ----------------------------------------------------
 
     def save(self, path):
-        np.savez(path, p=self.nl.p, c=self.nl.c, q=self.nl.q,
+        p, c, q = PCQ
+        np.savez(path, p=p, c=c, q=q,
                  beta=self.beta, r=self.r, u0=self.u0, du0=self.du0,
                  A=self.A, s=self.s, ln_ups=self.ln_ups)
 
     @classmethod
     def load(cls, path):
         with np.load(path) as d:
-            nl = Nonlinearity(float(d["p"]), float(d["c"]), float(d["q"]))
-            return cls(nl, float(d["beta"]), d["r"], d["u0"], d["du0"],
+            pcq = (float(d["p"]), float(d["c"]), float(d["q"]))
+            if pcq != PCQ:
+                raise ValueError(f"{path} holds a table for the "
+                                 f"nonlinearity (p, c, q) = {pcq}, not "
+                                 "the cubic (3, 0, 5)")
+            return cls(float(d["beta"]), d["r"], d["u0"], d["du0"],
                        float(d["A"]), d["s"], d["ln_ups"])
 
 
@@ -334,7 +322,7 @@ def _interaction_kernel(table, e, n, extent):
     proj = np.zeros_like(R)
     nz = R > 0
     proj[nz] = (e[0] * X[nz] + e[1] * Y[nz]) / R[nz]
-    G = table.nl.fprime(table.u0_at(R)) * table.du0_at(R) * proj
+    G = fprime(table.u0_at(R)) * table.du0_at(R) * proj
     w = _simpson_weights(n, h)
     return X, Y, G * np.outer(w, w)
 
@@ -347,9 +335,9 @@ def upsilon_direct(table, s, e=(1.0, 0.0), n=QUAD_N, extent=QUAD_EXTENT):
     return -float(np.sum(shifted * GW))
 
 
-def build_table(nl=CUBIC, bracket=(1.5, 3.0)):
-    beta = ground_state_beta(nl, bracket)
-    return InteractionTable(nl, beta, *_profile_grid(nl, beta))
+def build_table(bracket=(1.5, 3.0)):
+    beta = ground_state_beta(bracket)
+    return InteractionTable(beta, *_profile_grid(beta))
 
 
 def cache_dir():
@@ -357,20 +345,20 @@ def cache_dir():
         os.path.expanduser("~"), ".cache", "netforge"))
 
 
-def table_cache_path(nl=CUBIC, directory=None):
-    tag = f"{nl.key}_rmax{R_MAX:g}_dr{DR:g}_rs{R_SWITCH:g}" \
+def table_cache_path(directory=None):
+    tag = f"{NL_KEY}_rmax{R_MAX:g}_dr{DR:g}_rs{R_SWITCH:g}" \
           f"_q{QUAD_N}x{QUAD_EXTENT:g}_s{S_MIN:g}-{S_MAX:g}-{S_STEP:g}" \
           f"_closed{S_CLOSED:g}_sup{R_SUPPORT:g}"
     digest = hashlib.sha256(tag.encode()).hexdigest()[:12]
     d = directory or cache_dir()
-    return os.path.join(d, f"interaction_{nl.key}_{digest}.npz")
+    return os.path.join(d, f"interaction_{NL_KEY}_{digest}.npz")
 
 
-def load_or_build(nl=CUBIC, directory=None):
-    path = table_cache_path(nl, directory)
+def load_or_build(directory=None):
+    path = table_cache_path(directory)
     if os.path.exists(path):
         return InteractionTable.load(path)
-    table = build_table(nl)
+    table = build_table()
     os.makedirs(os.path.dirname(path), exist_ok=True)
     table.save(path)
     return table

@@ -139,18 +139,16 @@ class Certificate:
             "closable_rank": self.closable_rank,
             "closable": self.closable,
             "df_a_rank": self.df_a_rank,
-            "gap_ratio": self.gap_ratio,
+            # an infinite ratio (no gap: no edges, or full rank) as null
+            "gap_ratio": (self.gap_ratio if math.isfinite(self.gap_ratio)
+                          else None),
             "borderline": self.borderline,
             "singular_values": list(map(float, self.singular_values)),
         }
 
     def to_json(self):
         return json.dumps(self.to_obj(), indent=1, sort_keys=True,
-                          allow_nan=False, default=_json_inf)
-
-
-def _json_inf(x):  # pragma: no cover - only for inf gap ratios
-    return repr(x)
+                          allow_nan=False)
 
 
 def certify(net, tol=1e-9, rank_safety=RANK_SAFETY):

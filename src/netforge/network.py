@@ -33,6 +33,8 @@ class Network:
     """
 
     def __init__(self, vertices, weights):
+        if not vertices:
+            raise NetworkError("network has no vertices")
         self.vertices = {}
         for vid, pos in vertices.items():
             z = complex(pos)
@@ -192,12 +194,29 @@ def network_to_obj(net):
     }
 
 
+def _json_object(obj, what):
+    if not isinstance(obj, dict):
+        raise NetworkError(f"{what} must be a JSON object, "
+                           f"got {type(obj).__name__}")
+    return obj
+
+
+def json_member(obj, key, what, kind=None):
+    """obj[key] of the JSON object `obj` (`what` names it in errors),
+    checked to be a `kind` (list or dict) when given."""
+    if key not in _json_object(obj, what):
+        raise NetworkError(f"{what} has no {key!r}")
+    val = obj[key]
+    if kind is not None and not isinstance(val, kind):
+        raise NetworkError(f"{what}'s {key!r} must be a JSON "
+                           f"{'array' if kind is list else 'object'}")
+    return val
+
+
 def network_from_obj(obj):
-    if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
-        raise NetworkError("network object needs 'vertices' and 'edges'")
     verts = {}
-    for rec in obj["vertices"]:
-        vid = rec.get("id")
+    for rec in json_member(obj, "vertices", "network", list):
+        vid = _json_object(rec, "vertex record").get("id")
         if not isinstance(vid, str):
             raise NetworkError("vertex id must be a string")
         if vid in verts:
@@ -206,8 +225,12 @@ def network_from_obj(obj):
             raise NetworkError(f"vertex {vid!r} has non-finite coordinates")
         verts[vid] = complex(rec["x"], rec["y"])
     weights = {}
-    for rec in obj["edges"]:
+    for rec in json_member(obj, "edges", "network", list):
+        rec = _json_object(rec, "edge record")
         u, v, a = rec.get("u"), rec.get("v"), rec.get("weight")
+        if not (isinstance(u, str) and isinstance(v, str)):
+            raise NetworkError(f"edge ends must be vertex ids, "
+                               f"got ({u!r}, {v!r})")
         if not _finite(a):
             raise NetworkError(f"edge ({u},{v}) has non-finite weight")
         k = edge_key(u, v)

@@ -15,7 +15,7 @@ from netforge.assembly import (chain_matrix, chain_matrix_inverse,
 from netforge.balance import balance_nearby
 from netforge.builders import example_5_1
 from netforge.catalog import catalog, n_c, n_v, n_y, polygon_center, triangle
-from netforge.fields import project_force, refine, residual
+from netforge.fields import FieldWindow, project_force, refine, residual
 from netforge.linearize import (adjointness_defect, build_differentials,
                                 certify, nv_closability_criterion)
 from netforge.network import forces, total_weight
@@ -107,7 +107,6 @@ def test_criterion_5_alpha_expansion(table):
 
 def test_criterion_6_residual_decay(table):
     from netforge.assembly import Configuration
-    from netforge.fields import FieldWindow
     scaled = []
     for ell in (8.0, 10.0, 12.0):
         cfg = Configuration([0j, complex(ell, 0)], [1, 1], ["a", "b"], ell)
@@ -133,10 +132,16 @@ def example_run(table):
 
 def test_criterion_7_projection_expansion(table, example_run):
     from netforge.assembly import Configuration
+
+    def projection(cfg, z):
+        # on the assembled window: half width ell/4 + 2 about z
+        window = FieldWindow(z, cfg.ell / 4.0 + 2.0)
+        return project_force(cfg, residual(cfg, window, table), table)
+
     # two-point oracle
     ell = 10.0
     cfg2 = Configuration([0j, complex(ell, 0)], [1, 1], ["a", "b"], ell)
-    g = project_force(cfg2, 0j, table)
+    g = projection(cfg2, 0j)
     ups = float(table.upsilon(ell))
     assert abs(abs(g) - ups) < 0.05 * ups
     # interior chain points of the generated cloud project below 5%
@@ -147,7 +152,7 @@ def test_criterion_7_projection_expansion(table, example_run):
             == res.m_map[tuple(pt.provenance.split(":")[1:3])]]
     assert len(mids) == 14
     for pt in mids:
-        assert abs(project_force(cfg, pt.z, table)) < 0.05 * ups
+        assert abs(projection(cfg, pt.z)) < 0.05 * ups
     # anchor projections match the prescribed-force prediction within 10%
     for pt in cfg.points:
         if not (pt.provenance.startswith("anchor:v")
@@ -156,7 +161,7 @@ def test_criterion_7_projection_expansion(table, example_run):
         p = pt.provenance.split(":")[1]
         pred = ups * (f[(p, "o")] + res.e
                       + 1j * res.t * asm.master.vertices[p])
-        proj = project_force(cfg, pt.z, table)
+        proj = projection(cfg, pt.z)
         assert abs(proj - pred) < 0.1 * abs(pred), pt.provenance
 
 

@@ -265,6 +265,43 @@ def test_assembly_roundtrip(tmp_path):
             asm.subs[p].net.weights)
 
 
+def _assert_assembly_roundtrips(asm, path):
+    save_assembly(asm, path)
+    back = load_assembly(path)
+    assert back.master.vertices == asm.master.vertices
+    assert back.master.weights == asm.master.weights
+    assert back.subs.keys() == asm.subs.keys()
+    for p, sub in asm.subs.items():
+        assert back.subs[p].net.vertices == sub.net.vertices
+        assert back.subs[p].net.weights == sub.net.weights
+        assert back.subs[p].anchors == sub.anchors
+    assert back.signs == asm.signs
+
+
+@settings(max_examples=30, deadline=None)
+@given(ab=st.lists(st.floats(0.001, 0.05), min_size=2, max_size=2,
+                   unique=True).map(sorted),
+       perturbation=st.floats(0.0, 0.02), seed=st.integers(0, 2 ** 16))
+def test_nc_assembly_json_roundtrip(tmp_path_factory, ab, perturbation,
+                                    seed):
+    asm = n_c_assembly(*ab, perturbation=perturbation, seed=seed)
+    _assert_assembly_roundtrips(asm, tmp_path_factory.mktemp("asm")
+                                / "asm.json")
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_example_assembly_json_roundtrip(tmp_path_factory, data):
+    build = data.draw(st.sampled_from([example_5_1, example_5_2]))
+    k = data.draw(st.integers(3, 9) if build is example_5_1
+                  else st.sampled_from([4, 5]))
+    asm = build(k)
+    asm.signs = {p: {r: (-1) ** len(r) for r in sub.net.ids}
+                 for p, sub in sorted(asm.subs.items())[:2]}
+    _assert_assembly_roundtrips(asm, tmp_path_factory.mktemp("asm")
+                                / "asm.json")
+
+
 def test_neighbor_graph_diagnostic_chain(table):
     cfg = diagnostic_chain_cloud(table, 10.0, 5)
     nb = neighbor_graph(cfg)

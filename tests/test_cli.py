@@ -66,6 +66,33 @@ def test_certify_disconnected_exits_1(tmp_path, cache_env):
     assert cert["connected"] is False
 
 
+ONE_VERTEX = {"vertices": [{"id": "a", "x": 0, "y": 0}], "edges": []}
+EDGELESS = [
+    # (network, exit code, connected); no network is a usage error
+    (ONE_VERTEX, 0, True),
+    ({"vertices": [{"id": "a", "x": 0, "y": 0}, {"id": "b", "x": 1, "y": 0}],
+      "edges": []}, 1, False),
+    ({"vertices": [], "edges": []}, 64, None),
+]
+
+
+@pytest.mark.parametrize("net, code, connected", EDGELESS,
+                         ids=["one-vertex", "two-isolated", "no-vertices"])
+def test_certify_network_without_edges(tmp_path, cache_env, net, code,
+                                       connected):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(net))
+    r = run_cli(["certify", "--network", str(path)], tmp_path, cache_env)
+    assert r.returncode == code, r.stderr
+    assert "Traceback" not in r.stderr
+    if connected is None:
+        assert r.stdout == ""
+        return
+    cert = json.loads(r.stdout)
+    assert cert["connected"] is connected
+    assert cert["m"] == 0 and cert["gap_ratio"] is None
+
+
 def test_configure_failing_assembly_exits_3(tmp_path, cache_env):
     r = run_cli(["configure", "--catalog", "n_v"], tmp_path, cache_env)
     assert r.returncode == 3, r.stderr
@@ -250,17 +277,39 @@ def test_plot_empty_cloud(tmp_path, cache_env):
     assert "<circle" not in svg.read_text()
 
 
-def test_plot_field_heatmap(tmp_path, cache_env):
+def test_plot_field_csv_exits_64(tmp_path, cache_env):
+    # plot reads clouds only; an x,y,value field file is a usage error
     field = tmp_path / "field.csv"
-    lines = ["x,y,value"]
-    for i in range(4):
-        for j in range(4):
-            lines.append(f"{i},{j},{(i - j) * 0.5}")
-    field.write_text("\n".join(lines) + "\n")
+    field.write_text("x,y,value\n0,0,1.5\n0,1,0.5\n1,0,0.5\n1,1,1.5\n")
     svg = tmp_path / "heat.svg"
     r = run_cli(["plot", str(field), "--out", str(svg)], tmp_path, cache_env)
+    assert r.returncode == 64, r.stderr
+    assert "Traceback" not in r.stderr
+    assert not svg.exists()
+
+
+def test_assemble_plot_writes_heatmap(tmp_path, cache_env):
+    # --plot renders the residual of the first window as a heatmap, lists
+    # it in the manifest, and a rerun writes the same bytes
+    cloud = tmp_path / "cloud.csv"
+    r = run_cli(["configure", "--catalog", "example_5_1", "--k", "7",
+                 "--kappa", "64", "--ell", "10", "--out", str(cloud)],
+                tmp_path, cache_env)
     assert r.returncode == 0, r.stderr
-    assert svg.read_text().count("<rect") > 16
+    svgs = []
+    for name in ("a", "b"):
+        svg, diag = tmp_path / f"{name}.svg", tmp_path / f"{name}.json"
+        r = run_cli(["assemble", str(cloud), "--ell", "10",
+                     "--windows", "anchors", "--plot", str(svg),
+                     "--out", str(diag)], tmp_path, cache_env)
+        assert r.returncode == 0, r.stderr
+        man = json.loads((tmp_path / f"{name}.json.manifest.json")
+                         .read_text())
+        assert man["outputs"] == [str(diag), str(svg)]
+        svgs.append(svg.read_text())
+    assert svgs[0] == svgs[1]
+    assert svgs[0].count("<rect") > 100        # cells and the colorbar
+    assert "<text" in svgs[0]                  # the colorbar's labels
 
 
 def test_plot_unknown_header_exits_64(tmp_path, cache_env):
@@ -308,6 +357,46 @@ def test_manifest_contents(tmp_path, cache_env):
     assert man["outputs"] == [str(svg)]
     assert man["wall_time"] >= 0
     assert "version" in man
+
+
+MASTER_ONE = {"vertices": [{"id": "p", "x": 0, "y": 0}], "edges": []}
+SINGLETON = {"network": {"vertices": [{"id": "o", "x": 0, "y": 0}],
+                         "edges": []}, "anchors": {}}
+BAD_DOCUMENTS = [
+    ("configure", "--assembly", {"foo": 1}),
+    ("configure", "--assembly", [1, 2]),
+    ("configure", "--assembly", {"master": {"vertices": [], "edges": []},
+                                 "subassembly": {}}),
+    ("configure", "--assembly", {"master": MASTER_ONE,
+                                 "subassembly": {"p": SINGLETON}}),
+    ("configure", "--assembly", {"master": MASTER_ONE,
+                                 "subassembly": {"p": 3}}),
+    ("configure", "--assembly", {"master": MASTER_ONE,
+                                 "subassembly": {"p": {"anchors": {}}}}),
+    ("certify", "--network", {"vertices": [1], "edges": []}),
+    ("certify", "--network", {"vertices": [{"id": "a", "x": 0, "y": 0}],
+                              "edges": [[1, 2]]}),
+    ("certify", "--network", {"vertices": [{"id": "a", "x": 0, "y": 0},
+                                           {"id": "b", "x": 1, "y": 0}],
+                              "edges": [{"u": "a", "weight": 1.0}]}),
+    ("certify", "--network", "network"),
+]
+
+
+@pytest.mark.parametrize("command, flag, doc", BAD_DOCUMENTS,
+                         ids=[f"{c}-{i}" for i, (c, _, _)
+                              in enumerate(BAD_DOCUMENTS)])
+def test_malformed_document_exits_64(tmp_path, cache_env, command, flag,
+                                     doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    r = run_cli([command, flag, str(path), "--out", str(out)], tmp_path,
+                cache_env)
+    assert r.returncode == 64, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith(f"{command}: ")
+    assert not out.exists()
 
 
 BAD_INPUTS = [

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -14,13 +15,19 @@ from netforge.builders import example_5_1, n_c_assembly
 from netforge.fields import (DELTA_DEFAULT, REACH, FieldWindow,
                              _window_points,
                              cutoff_profile, delta_limit,
-                             load_field, pohozaev_defect, predicted_force,
-                             project_force, refine, residual, residual_norms,
-                             save_field)
+                             pohozaev_defect, predicted_force,
+                             project_force, refine, residual, residual_norms)
+from netforge.interaction import f
 
 
 def two_point_config(ell, signs=(1, 1)):
     return Configuration([0j, complex(ell, 0)], signs, ["a", "b"], ell)
+
+
+def force_at(config, z, table):
+    """project_force on the assembled window (half width ell/4 + 2) at z."""
+    window = FieldWindow(z, config.ell / 4.0 + 2.0)
+    return project_force(config, residual(config, window, table), table)
 
 
 def test_window_geometry():
@@ -73,8 +80,8 @@ def test_residual_decay_with_distance(table):
 
 def test_residual_norms_weighting(table):
     cfg = two_point_config(10.0)
-    w = FieldWindow(0j, 3.0)
-    sup, weighted = residual_norms(cfg, w, table)
+    sup, weighted = residual_norms(residual(cfg, FieldWindow(0j, 3.0),
+                                            table))
     assert 0 < sup
     assert weighted > sup  # the weight is below 1 near the point
 
@@ -82,7 +89,7 @@ def test_residual_norms_weighting(table):
 def test_projection_matches_upsilon(table):
     for ell in (8.0, 10.0, 12.0):
         cfg = two_point_config(ell)
-        g = project_force(cfg, 0j, table)
+        g = force_at(cfg, 0j, table)
         ups = float(table.upsilon(ell))
         assert abs(g) == pytest.approx(ups, rel=0.01)
         # attraction: the force at the left bump points right
@@ -92,7 +99,7 @@ def test_projection_matches_upsilon(table):
 
 def test_projection_sign_for_opposite_bumps(table):
     cfg = two_point_config(10.0, signs=(1, -1))
-    g = project_force(cfg, 0j, table)
+    g = force_at(cfg, 0j, table)
     # opposite signs repel
     assert g.real < 0
     assert abs(abs(g) - float(table.upsilon(10.0))) < 0.01 * abs(g)
@@ -100,14 +107,15 @@ def test_projection_sign_for_opposite_bumps(table):
 
 def test_projection_window_too_small(table):
     cfg = two_point_config(10.0)
+    small = residual(cfg, FieldWindow(0j, 2.0), table)
     with pytest.raises(ValueError):
-        project_force(cfg, 0j, table, window=FieldWindow(0j, 2.0))
+        project_force(cfg, small, table)
 
 
 def test_midchain_projection_small(table):
     cfg = diagnostic_chain_cloud(table, 10.0, 3)
     mid = cfg.points[3].z  # j = 3 = m
-    g = project_force(cfg, mid, table)
+    g = force_at(cfg, mid, table)
     assert abs(g) < 0.05 * float(table.upsilon(10.0))
 
 
@@ -229,7 +237,6 @@ def _residual_loop(config, window, table, z, rho, delta):
     each in its own pass over meshgrid arrays, as (u, E, sup, weighted,
     raw projection)."""
     X, Y = window.mesh()
-    f = table.nl.f
     pts = _window_points_loop(config, window)
     u = np.zeros_like(X)
     lin = np.zeros_like(X)
@@ -279,19 +286,20 @@ def _assert_window_matches_loop(cfg, c, table, delta):
     E and its sup (that floor over the smallest weight on the weighted
     norm), and the gate on the projection decides alike."""
     rho = cfg.ell / 4.0
-    window = FieldWindow(c, rho + 2.0)
-    g = project_force(cfg, c, table, window)
-    sup, weighted = residual_norms(cfg, window, table, delta)
+    window = FieldWindow(c, rho + 2.0, delta=delta)
+    field = residual(cfg, window, table)
+    g = project_force(cfg, field, table)
+    sup, weighted = residual_norms(field)
     _, E, ref_sup, ref_weighted, ref_raw = _residual_loop(
         cfg, window, table, c, rho, delta)
     ref_g = ref_raw / _reference_scale(table, rho)
     ups = float(table.upsilon(cfg.ell))
-    floor = 8.0 * np.finfo(float).eps * float(table.nl.f(table.beta))
+    floor = 8.0 * np.finfo(float).eps * float(f(table.beta))
     assert abs(g - ref_g) <= 1e-10 * ups + 1e-15
-    assert np.max(np.abs(window.E - E)) <= 1e-10 * ref_sup + floor
+    assert np.max(np.abs(field.E - E)) <= 1e-10 * ref_sup + floor
     assert abs(sup - ref_sup) <= 1e-10 * ref_sup + floor
     assert abs(weighted - ref_weighted) <= \
-        1e-10 * ref_weighted + floor / window.weight.min()
+        1e-10 * ref_weighted + floor / field.weight.min()
     threshold = 0.05 * ups
     assert (abs(g) <= threshold) == (abs(ref_g) <= threshold)
 
@@ -307,8 +315,8 @@ def _spread_windows(cfg):
 def test_one_pass_window_matches_loop(table, ex51_cloud, nc_cloud, delta):
     # windows on anchors and on spread points, where the centre bump comes
     # from the template, and windows off them, where every bump is placed
-    # by its offset. The windows take the default delta, so -0.3 makes
-    # residual_norms redo the pass at its own delta.
+    # by its offset. At -0.3 the centre bump's template is not the one
+    # the calibration window made.
     for cfg in (ex51_cloud, nc_cloud):
         for i in _spread_windows(cfg):
             z = cfg.points[i].z
@@ -365,11 +373,10 @@ def test_window_mixing_grid_and_tail_matches_loop(table, ell):
 
 
 def test_projection_only_at_window_centre(table):
+    # the projection is about the window's centre; a non-finite centre
+    # gives NaN
     cfg = two_point_config(10.0)
-    with pytest.raises(ValueError):
-        project_force(cfg, 0j, table, window=FieldWindow(0.5 + 0j, 4.5))
-    nan = complex("nan")
-    g = project_force(cfg, nan, table, window=FieldWindow(nan, 4.5))
+    g = force_at(cfg, complex("nan"), table)
     assert math.isnan(g.real) and math.isnan(g.imag)
 
 
@@ -379,9 +386,8 @@ def test_reach_drift_from_cutoff_30(table, ex51_cloud, nc_cloud,
     # half_width + 30 summed; the diagnostics move by at most these bounds
     def diagnostics(cfg, i):
         z = cfg.positions[i].item()
-        window = FieldWindow(z, cfg.ell / 4.0 + 2.0)
-        proj = project_force(cfg, z, table, window)
-        return (proj,) + residual_norms(cfg, window, table)
+        field = residual(cfg, FieldWindow(z, cfg.ell / 4.0 + 2.0), table)
+        return (project_force(cfg, field, table),) + residual_norms(field)
 
     for cfg in (ex51_cloud, nc_cloud):
         ups = float(table.upsilon(cfg.ell))
@@ -411,12 +417,11 @@ def test_reach_holds_chain_neighbours_at_large_ell(table, monkeypatch):
     window = FieldWindow(mid, 14.5)
     assert [z for z, _ in _window_points(cfg, window)] == \
         [mid - 50.0, mid, mid + 50.0]
-    sup, weighted = residual_norms(cfg, window, table)
+    sup, weighted = residual_norms(residual(cfg, window, table))
     assert sup > 0 and weighted > 0
     with monkeypatch.context() as m:
         m.setattr(fields, "_window_points", _window_points_cutoff30)
-        assert residual_norms(cfg, FieldWindow(mid, 14.5), table) == \
-            (0.0, 0.0)
+        assert residual_norms(residual(cfg, window, table)) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("ell", [2.0, 10.0, 110.0])
@@ -431,39 +436,51 @@ def test_delta_limit_keeps_the_weight_normal(table, ell):
     far = complex(d - math.sqrt(2.0) * hw, 0.0)
     cfg = Configuration([0j, far], [1, 1], ["a", "b"], ell)
     for delta in (limit, -limit):
-        window = residual(cfg, FieldWindow(0j, hw, delta=delta), table)
-        assert len(_window_points(cfg, window)) == 2
-        w = window.weight
+        field = residual(cfg, FieldWindow(0j, hw, delta=delta), table)
+        assert len(_window_points(cfg, field.window)) == 2
+        w = field.weight
         assert np.all(np.isfinite(w)) and w.min() >= np.finfo(float).tiny
         assert -700.0 <= math.log(w.min()) <= math.log(w.max()) <= 700.0
 
 
 def test_window_delta_sets_the_norm_weight(table, nc_cloud):
-    # a window made at delta does not redo its pass for norms at delta,
-    # and its weight is the one the norms divide by
+    # the norms divide by the weight at the window's own delta; delta
+    # changes the weight, not the residual
     z = nc_cloud.points[0].z
-    window = FieldWindow(z, 4.5, delta=-0.3)
-    project_force(nc_cloud, z, table, window)
-    E, weight = window.E, window.weight
-    sup, weighted = residual_norms(nc_cloud, window, table, -0.3)
-    assert window.E is E and window.weight is weight
-    assert weighted == float(np.max(np.abs(E) / weight))
-    assert residual_norms(nc_cloud, window, table)[1] != weighted
-    assert window.delta == DELTA_DEFAULT and window.weight is not weight
+    field = residual(nc_cloud, FieldWindow(z, 4.5, delta=-0.3), table)
+    sup, weighted = residual_norms(field)
+    assert weighted == float(np.max(np.abs(field.E) / field.weight))
+    default = residual(nc_cloud, FieldWindow(z, 4.5), table)
+    assert np.array_equal(default.E, field.E)
+    assert residual_norms(default)[0] == sup
+    assert residual_norms(default)[1] != weighted
+
+
+def test_field_is_a_value(table):
+    # a window and its field are fixed once made
+    cfg = two_point_config(10.0)
+    field = residual(cfg, FieldWindow(0j, 4.5), table)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        field.window.delta = -0.3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        field.E = None
+    for a in (field.u, field.E, field.weight):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
 
 
 def test_pohozaev_defect(table):
     # radially symmetric single bump: every Killing pairing vanishes
     cfg = Configuration([0j], [1], ["a"], 10.0)
     w = residual(cfg, FieldWindow(0j, 12.0, 0.1), table)
-    fvals = table.nl.f(w.u)
+    fvals = f(w.u)
     for xi in ("dx", "dy", "rot"):
-        val = pohozaev_defect(w, w.u, fvals, xi, decay_tol=1e-4)
+        val = pohozaev_defect(w.window, w.u, fvals, xi, decay_tol=1e-4)
         assert abs(val) < 1e-10
     with pytest.raises(ValueError):
-        pohozaev_defect(w, w.u, fvals, "scale")
+        pohozaev_defect(w.window, w.u, fvals, "scale")
     with pytest.raises(ValueError):
-        pohozaev_defect(w, w.u, fvals, "dx", decay_tol=1e-30)
+        pohozaev_defect(w.window, w.u, fvals, "dx", decay_tol=1e-30)
 
 
 def test_refine_single_bump(table):
@@ -474,16 +491,3 @@ def test_refine_single_bump(table):
     # the superposed start is the discrete solution up to truncation
     assert out.drift < 0.05
 
-
-def test_field_roundtrip(tmp_path, table):
-    cfg = two_point_config(10.0)
-    w = residual(cfg, FieldWindow(0j, 1.0), table)
-    path = tmp_path / "field.csv"
-    save_field(w, w.E, path)
-    x, y, vals = load_field(path)
-    assert vals.shape == w.E.shape
-    assert np.array_equal(vals, w.E)
-    with pytest.raises(ValueError):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n")
-        load_field(bad)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import k0, k1
 
-from netforge.interaction import (CUBIC, S_CLOSED, S_MAX, S_MIN,
-                                  InteractionTable, Nonlinearity, build_table,
-                                  table_cache_path, upsilon_direct)
+from netforge.interaction import (S_CLOSED, S_MAX, S_MIN, InteractionTable,
+                                  build_table, f, fprime, table_cache_path,
+                                  upsilon_direct)
 
 # frozen reference values for the cubic nonlinearity
 U0_AT_ZERO = 2.206200864681313
@@ -130,7 +130,7 @@ def test_profile_on_every_knot_is_scipys_spline(table):
 
 def test_table_needs_the_uniform_grid(table):
     with pytest.raises(ValueError, match="i \\* DR"):
-        InteractionTable(table.nl, table.beta, table.r * (1 + 1e-15),
+        InteractionTable(table.beta, table.r * (1 + 1e-15),
                          table.u0, table.du0, table.A, table.s,
                          table.ln_ups)
 
@@ -280,14 +280,13 @@ def test_save_load_roundtrip(table, tmp_path):
     assert back.beta == table.beta
     assert np.array_equal(back.u0, table.u0)
     assert np.array_equal(back.ln_ups, table.ln_ups)
-    assert back.nl == table.nl
 
 
 def test_cold_build_equals_committed_table():
     # the table checked in under .cache/ is exactly what a build computes
     committed = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        ".cache", os.path.basename(table_cache_path(CUBIC, ".")))
+        ".cache", os.path.basename(table_cache_path(".")))
     built = build_table()
     with np.load(committed) as d:
         for name in ("r", "u0", "du0", "s", "ln_ups"):
@@ -297,16 +296,28 @@ def test_cold_build_equals_committed_table():
 
 
 def test_cache_path_is_deterministic(tmp_path):
-    p1 = table_cache_path(CUBIC, str(tmp_path))
-    p2 = table_cache_path(CUBIC, str(tmp_path))
+    p1 = table_cache_path(str(tmp_path))
+    p2 = table_cache_path(str(tmp_path))
     assert p1 == p2
-    other = table_cache_path(Nonlinearity(3.0, 0.1, 5.0), str(tmp_path))
-    assert other != p1
+    assert os.path.basename(p1) == \
+        "interaction_p3_c0_q5_0f238fa687b1.npz"
 
 
 def test_nonlinearity_fprime():
-    nl = Nonlinearity(3.0, 0.2, 5.0)
-    u = np.linspace(0.1, 2.0, 17)
+    u = np.linspace(-2.0, 2.0, 17)
     h = 1e-6
-    fd = (nl.f(u + h) - nl.f(u - h)) / (2 * h)
-    assert np.max(np.abs(fd - nl.fprime(u))) < 1e-6
+    fd = (f(u + h) - f(u - h)) / (2 * h)
+    assert np.max(np.abs(fd - fprime(u))) < 1e-6
+    assert np.allclose(f(u), u ** 3, rtol=1e-15, atol=0.0)
+
+
+def test_load_rejects_another_nonlinearity(table, tmp_path):
+    path = tmp_path / "table.npz"
+    table.save(path)
+    with np.load(path) as d:
+        assert (float(d["p"]), float(d["c"]), float(d["q"])) == \
+            (3.0, 0.0, 5.0)
+        arrays = dict(d)
+    np.savez(path, **{**arrays, "c": 0.2})
+    with pytest.raises(ValueError, match="cubic"):
+        InteractionTable.load(path)
