@@ -35,6 +35,11 @@ EXIT_BORDERLINE = 2
 EXIT_CONDITIONS = 3
 EXIT_USAGE = 64
 
+# Largest --k. verify_assembly's cost grows like k^4.7 (6 s for
+# example_5_1 at k 64, over 150 s at k 128), and certify on K_poly at
+# k 256 allocates a 7.9 GiB matrix.
+K_MAX = 64
+
 
 class CliParser(argparse.ArgumentParser):
     def error(self, message):
@@ -82,7 +87,9 @@ _PARAM_FLAGS = ("k", "n", "theta", "nu", "mu", "a", "b",
 
 def _add_catalog_flags(sp, catalog_help="catalog name"):
     sp.add_argument("--catalog", help=catalog_help)
-    sp.add_argument("--k", type=int)
+    sp.add_argument("--k", type=_k,
+                    help="polygon size of the catalogs that take one, an "
+                         f"integer <= {K_MAX}")
     sp.add_argument("--n", type=int)
     sp.add_argument("--theta", type=float)
     sp.add_argument("--nu", type=float)
@@ -105,6 +112,18 @@ def _number(text, ok, requirement):
     return val
 
 
+def _k(text):
+    """argparse type: an integer <= K_MAX, else a usage error."""
+    try:
+        k = int(text)
+    except ValueError:
+        k = K_MAX + 1
+    if k > K_MAX:
+        raise argparse.ArgumentTypeError(f"must be an integer <= {K_MAX}, "
+                                         f"got {text!r}")
+    return k
+
+
 def _ell(text):
     # the interaction table spans [S_MIN, S_MAX]; NaN fails the comparison
     return _number(text, lambda v: S_MIN <= v <= S_MAX,
@@ -114,6 +133,15 @@ def _ell(text):
 def _kappa(text):
     return _number(text, lambda v: 0 < v < math.inf,
                    "a finite number > 0")
+
+
+def _check_out_dirs(*paths):
+    """Fail before any work when an output path's directory is missing."""
+    for path in filter(None, paths):
+        d = os.path.dirname(path) or "."
+        if not os.path.isdir(d):
+            raise FileNotFoundError(f"no directory {d!r} for the output "
+                                    f"{path!r}")
 
 
 def _catalog_params(args):
@@ -167,6 +195,7 @@ def cmd_certify(args):
     start = time.perf_counter()
     inputs = []
     try:
+        _check_out_dirs(args.out)
         if args.network:
             net = load_network(args.network)
             inputs.append(args.network)
@@ -208,6 +237,7 @@ def cmd_configure(args):
     start = time.perf_counter()
     inputs = []
     try:
+        _check_out_dirs(args.out)
         if args.assembly:
             asm = load_assembly(args.assembly)
             inputs.append(args.assembly)
@@ -379,6 +409,7 @@ def cmd_assemble(args):
               "norm weight over- or underflows beyond it", file=sys.stderr)
         return EXIT_USAGE
     try:
+        _check_out_dirs(args.out, args.plot)
         _check_cloud_ell(args.cloud, args.ell)
         config = load_cloud(args.cloud, args.ell)
         sel = _select_windows(config, args.windows)
@@ -468,7 +499,11 @@ _COMMANDS = {"certify": cmd_certify, "configure": cmd_configure,
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except OSError as exc:          # an output path that cannot be written
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

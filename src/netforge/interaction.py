@@ -12,6 +12,12 @@ addition theorem (DLMF 10.44(ii)) leaves Upsilon(s) = -2 A K1(s) C with
 one grid sum C = integral I1(r) <e, z>/|z| G(z) dz. Below S_CLOSED the
 quadrature runs on the grid points with r <= R_SUPPORT only. All
 consumers go through an InteractionTable, which can be cached on disk.
+
+The table file holds knots and values only. Loading it fits the cubic
+splines of u0, u0', ln Upsilon and its inverse with _not_a_knot, which
+reproduces scipy.interpolate.CubicSpline bit for bit through
+scipy.linalg; so a CLI process, which only loads the table, never imports
+scipy.interpolate, scipy.optimize or scipy.integrate.
 """
 
 import hashlib
@@ -19,8 +25,7 @@ import math
 import os
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 from scipy.special import i1, k0, k1
 
 
@@ -60,6 +65,7 @@ def _rhs(r, y):
 def _shoot(beta, r_end, rtol=1e-13, dense=False):
     """Integrate from a series start near r = 0; terminate at the first
     zero crossing of u (downward) or of u' (upward, u still positive)."""
+    from scipy.integrate import solve_ivp
     r0 = 1e-3
     c2 = (beta - f(beta)) / 4.0
     y0 = (beta + c2 * r0 * r0, 2.0 * c2 * r0)
@@ -140,9 +146,85 @@ def _simpson_weights(n, h):
     return w * (h / 3.0)
 
 
+def _not_a_knot(x, y):
+    """Coefficients, rows c0..c3 of c0 s^3 + c1 s^2 + c2 s + c3 with
+    s = xq - x[i], of the not-a-knot cubic spline through (x, y), bit for
+    bit as scipy.interpolate.CubicSpline computes them: the same
+    tridiagonal system for the slopes at the knots, solved by the same
+    solve_banded call, then the same Hermite form. Like CubicSpline, it
+    raises ValueError on non-finite data or on knots that do not strictly
+    increase."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or x.size < 4:
+        raise ValueError("a spline needs matching 1-d knots and values, "
+                         "at least 4")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("spline knots and values must be finite")
+    dx = np.diff(x)
+    if np.any(dx <= 0):
+        raise ValueError("spline knots must be strictly increasing")
+    n = x.size
+    slope = np.diff(y) / dx
+    A = np.zeros((3, n))                  # banded: upper, diagonal, lower
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b = np.empty(n)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+    d = x[2] - x[0]
+    A[1, 0] = dx[1]
+    A[0, 1] = d
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    A[1, -1] = dx[-2]
+    A[-1, -2] = d
+    b[-1] = ((dx[-1]**2 * slope[-2]
+              + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d)
+    m = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
+                     overwrite_b=True, check_finite=False).reshape(n)
+    t = (m[:-1] + m[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]))
+
+
+class _Cubic:
+    """The not-a-knot cubic spline through (x, y), called as scipy's PPoly
+    evaluates it and its derivative, bit for bit: on the interval i with
+    x[i] <= xq < x[i + 1], the end intervals extended past the knots, NaN
+    mapped to NaN, terms summed from c3 up with s^3 = (s s) s, and the
+    slope from the coefficients c[:-1] * (3, 2, 1)."""
+
+    def __init__(self, x, y):
+        self.x = np.ascontiguousarray(x, dtype=float)
+        self.c = _not_a_knot(self.x, y)
+        # searching the inner knots gives the interval, ends clipped
+        self._inner = self.x[1:-1].copy()
+        # one gather per call: left knot, c3, c2, c1, c0, 2 c1, 3 c0
+        c = self.c
+        self._rows = np.vstack((self.x[:-1], c[::-1],
+                                c[1::-1] * [[2.0], [3.0]]))
+
+    def _gather(self, xq):
+        xq = np.asarray(xq, dtype=float)
+        x0, *c = self._rows[:, np.searchsorted(self._inner, xq, "right")]
+        s = xq - x0
+        return s, s * s, c
+
+    def __call__(self, xq):
+        s, s2, (c3, c2, c1, c0, _, _) = self._gather(xq)
+        return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+
+    def value_and_slope(self, xq):
+        s, s2, (c3, c2, c1, c0, d1, d0) = self._gather(xq)
+        return (c3 + c2 * s + c1 * s2 + c0 * (s2 * s),
+                c2 + d1 * s + d0 * s2)
+
+
 def _spline_on_grid(c, x):
-    """The CubicSpline with coefficients `c` on the knots i * DR at x, bit
-    for bit as scipy evaluates it: c3 + c2 s + c1 s^2 + c0 s^3 summed in
+    """The cubic spline with coefficients `c` (as _not_a_knot fits them
+    when the table loads) on the knots i * DR at x, bit for bit as
+    _Cubic and scipy evaluate it: c3 + c2 s + c1 s^2 + c0 s^3 summed in
     that order, s = x - i DR, on the i with i DR <= x < (i + 1) DR (ends
     extended). i is x / DR truncated. Where that i may be one off (s < 0,
     or s so near DR that (i + 1) DR can round below x) or lies past the
@@ -185,8 +267,8 @@ class InteractionTable:
         self.A = float(A)
         if not np.array_equal(self.r, np.arange(self.r.size) * DR):
             raise ValueError("profile grid must be r = i * DR")
-        self._u_spline = CubicSpline(self.r, self.u0)
-        self._du_spline = CubicSpline(self.r, self.du0)
+        self._u_c = _not_a_knot(self.r, self.u0)
+        self._du_c = _not_a_knot(self.r, self.du0)
         if s is None:
             s = np.arange(S_MIN, S_MAX + S_STEP / 2, S_STEP)
         self.s = np.asarray(s, dtype=float)
@@ -195,12 +277,11 @@ class InteractionTable:
         self.ln_ups = np.asarray(ln_ups, dtype=float)
         if np.any(np.diff(self.ln_ups) >= 0):
             raise RuntimeError("interaction strength is not decreasing")
-        self._ls = CubicSpline(self.s, self.ln_ups)
-        self._lsd = self._ls.derivative()
+        self._ls = _Cubic(self.s, self.ln_ups)
         # the spline's range; at s[-1] it can round an ulp off ln_ups[-1]
         self._ls_lo, self._ls_hi = self._ls(self.s[[-1, 0]])
         # first guess for the inverse of _ls, polished by Newton in alpha_ell
-        self._ls_inv = CubicSpline(self.ln_ups[::-1], self.s[::-1])
+        self._ls_inv = _Cubic(self.ln_ups[::-1], self.s[::-1])
 
     def _upsilon_quadrature(self, s):
         """Upsilon at the lengths `s` on the grid of upsilon_direct: the
@@ -223,10 +304,10 @@ class InteractionTable:
     # --- profile -------------------------------------------------------
 
     def u0_at(self, r):
-        return self._radial(r, self._u_spline.c, lambda x: self.A * k0(x))
+        return self._radial(r, self._u_c, lambda x: self.A * k0(x))
 
     def du0_at(self, r):
-        return self._radial(r, self._du_spline.c, lambda x: -self.A * k1(x))
+        return self._radial(r, self._du_c, lambda x: -self.A * k1(x))
 
     def _radial(self, r, c, tail):
         """The spline with coefficients `c` on the grid, the Bessel tail
@@ -259,7 +340,8 @@ class InteractionTable:
         return np.exp(self._ls(s))
 
     def upsilon_prime(self, s):
-        return np.exp(self._ls(s)) * self._lsd(s)
+        ls, lsd = self._ls.value_and_slope(s)
+        return np.exp(ls) * lsd
 
     def alpha_ell(self, a, ell):
         """alpha with |a| * Upsilon(ell) = Upsilon(ell (1 - alpha)).
@@ -280,7 +362,8 @@ class InteractionTable:
                              f"ell={ell})")
         t = ell + (self._ls_inv(target) - self._ls_inv(ls_ell))
         for _ in range(3):
-            t = t - (self._ls(t) - target) / self._lsd(t)
+            ls, lsd = self._ls.value_and_slope(t)
+            t = t - (ls - target) / lsd
         out = 1.0 - t / ell
         return out if out.ndim else float(out)
 

@@ -5,7 +5,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import issparse
-from scipy.sparse.linalg import splu
 
 
 class SolverError(RuntimeError):
@@ -63,6 +62,7 @@ def damped_newton(fun, x0, jac=None, tol=1e-11, scale=1.0, maxiter=100,
         jac_evals += 1
         try:
             if issparse(J):
+                from scipy.sparse.linalg import splu
                 dx = splu(J.tocsc()).solve(-f)
             elif J.shape[0] == J.shape[1]:
                 dx = np.linalg.solve(J, -f)

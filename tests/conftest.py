@@ -1,4 +1,6 @@
+import functools
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +21,19 @@ PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
 @pytest.fixture(scope="session")
 def table():
     return load_or_build(directory=CACHE_DIR)
+
+
+@functools.cache
+def scipy_splines(table):
+    """scipy's CubicSplines through the table's four knot sets (u0, u0',
+    ln Upsilon and its inverse): the reference that the table's own
+    splines equal bit for bit."""
+    from scipy.interpolate import CubicSpline
+    return SimpleNamespace(u=CubicSpline(table.r, table.u0),
+                           du=CubicSpline(table.r, table.du0),
+                           ls=CubicSpline(table.s, table.ln_ups),
+                           inv=CubicSpline(table.ln_ups[::-1],
+                                           table.s[::-1]))
 
 
 @pytest.fixture(scope="session")

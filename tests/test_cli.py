@@ -399,6 +399,17 @@ def test_malformed_document_exits_64(tmp_path, cache_env, command, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["certify", "configure"])
+@pytest.mark.parametrize("k", [str(cli.K_MAX + 1), "100000", "7.5", "x"])
+def test_k_above_its_limit_exits_64_at_parsing(command, k, capsys):
+    parser = cli.build_parser()
+    assert parser.parse_args([command, "--k", str(cli.K_MAX)]).k == cli.K_MAX
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, "--catalog", "example_5_1", "--k", k])
+    assert exc.value.code == 64
+    assert "--k" in capsys.readouterr().err
+
+
 BAD_INPUTS = [
     *[(cmd, ["--ell", ell]) for cmd in ("configure", "assemble")
       for ell in ("1", "nan", "200")],
@@ -406,6 +417,10 @@ BAD_INPUTS = [
     *[("assemble", ["--windows", w]) for w in ("99999", "-1", ",", "")],
     *[("assemble", ["--delta", d])
       for d in ("nan", "inf", "-inf", "-1000", "1000", "19.6")],
+    ("configure", ["--out", "/nonexistent/dir/x.csv"]),
+    ("assemble", ["--out", "/nonexistent/d.json"]),
+    ("assemble", ["--plot", "/nonexistent/p.svg"]),
+    ("certify", ["--out", "/nonexistent/c.json"]),
 ]
 
 
@@ -415,6 +430,8 @@ def test_bad_input_exits_64(tmp_path, cache_env, command, flags):
     if command == "configure":
         args = ["configure", "--catalog", "example_5_1", "--k", "7",
                 "--out", str(tmp_path / "cloud.csv")]
+    elif command == "certify":
+        args = ["certify", "--catalog", "N_C"]
     else:
         cloud = tmp_path / "one.csv"
         cloud.write_text("x,y,sign,provenance\n0,0,1,anchor:a:o\n")
@@ -424,6 +441,8 @@ def test_bad_input_exits_64(tmp_path, cache_env, command, flags):
     r = run_cli(args + flags, tmp_path, cache_env)
     assert r.returncode == 64, r.stderr
     assert "Traceback" not in r.stderr
-    assert flags[0] in r.stderr
+    # a bad value names its flag, an unwritable output names its path
+    assert (flags[1] if flags[0] in ("--out", "--plot") else flags[0]) \
+        in r.stderr
     assert not (tmp_path / "cloud.csv").exists()
     assert not (tmp_path / "d.json").exists()

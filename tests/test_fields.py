@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import k0, k1
 
+from conftest import scipy_splines
 from netforge import cli, fields
 from netforge.assembly import (Configuration, diagnostic_chain_cloud,
                                generate_cloud, solve_master)
@@ -242,7 +243,7 @@ def _residual_loop(config, window, table, z, rho, delta):
     lin = np.zeros_like(X)
     for zb, s in pts:
         u0 = _profile_loop(table, np.hypot(X - zb.real, Y - zb.imag),
-                           table._u_spline, lambda x: table.A * k0(x))
+                           scipy_splines(table).u, lambda x: table.A * k0(x))
         u += s * u0
         lin += s * f(u0)
     E = f(u) - lin
@@ -256,7 +257,8 @@ def _residual_loop(config, window, table, z, rho, delta):
     t = r - rho
     chi = np.where(t <= -1.0, 1.0,
                    np.where(t >= 1.0, 0.0, (1.0 - np.sin(np.pi * t / 2)) / 2))
-    du = _profile_loop(table, r, table._du_spline, lambda x: -table.A * k1(x))
+    du = _profile_loop(table, r, scipy_splines(table).du,
+                       lambda x: -table.A * k1(x))
     nz = r > 0
     gx = np.zeros_like(r)
     gy = np.zeros_like(r)

@@ -1,16 +1,20 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 from scipy.special import k0, k1
 
+from conftest import CACHE_DIR, scipy_splines
 from netforge.interaction import (S_CLOSED, S_MAX, S_MIN, InteractionTable,
-                                  build_table, f, fprime, table_cache_path,
-                                  upsilon_direct)
+                                  _Cubic, _not_a_knot, build_table, f,
+                                  fprime, table_cache_path, upsilon_direct)
 
 # frozen reference values for the cubic nonlinearity
 U0_AT_ZERO = 2.206200864681313
@@ -83,10 +87,9 @@ def test_profile_matches_both_branch_formula(table, r):
     assert table.r[-1] == 50.0
     u = table.u0_at(r)
     du = table.du0_at(r)
-    ref_u = _profile_where(table, r, table._u_spline,
-                           lambda x: table.A * k0(x))
-    ref_du = _profile_where(table, r, table._du_spline,
-                            lambda x: -table.A * k1(x))
+    ref = scipy_splines(table)
+    ref_u = _profile_where(table, r, ref.u, lambda x: table.A * k0(x))
+    ref_du = _profile_where(table, r, ref.du, lambda x: -table.A * k1(x))
     assert u.shape == du.shape == r.shape
     assert np.array_equal(u, ref_u, equal_nan=True)
     assert np.array_equal(du, ref_du, equal_nan=True)
@@ -94,10 +97,10 @@ def test_profile_matches_both_branch_formula(table, r):
 
 @pytest.mark.parametrize("r", [0.0, 7.5, 50.0, 62.0])
 def test_profile_of_scalar_is_float(table, r):
+    ref = scipy_splines(table)
     for got, spline, tail in (
-            (table.u0_at(r), table._u_spline, lambda x: table.A * k0(x)),
-            (table.du0_at(r), table._du_spline,
-             lambda x: -table.A * k1(x))):
+            (table.u0_at(r), ref.u, lambda x: table.A * k0(x)),
+            (table.du0_at(r), ref.du, lambda x: -table.A * k1(x))):
         assert type(got) is float
         assert got == float(_profile_where(table, r, spline, tail))
 
@@ -116,16 +119,116 @@ def test_profile_on_grid_is_scipys_spline(table, radii, knots):
     r = np.concatenate([radii, rk, np.nextafter(rk, -1.0),
                         np.nextafter(rk, np.inf), [0.0, table.r[-1]]])
     r = r[(r >= 0.0) & (r <= table.r[-1])]
-    assert np.array_equal(table.u0_at(r), table._u_spline(r))
-    assert np.array_equal(table.du0_at(r), table._du_spline(r))
+    ref = scipy_splines(table)
+    assert np.array_equal(table.u0_at(r), ref.u(r))
+    assert np.array_equal(table.du0_at(r), ref.du(r))
 
 
 def test_profile_on_every_knot_is_scipys_spline(table):
     rk = table.r
     r = np.concatenate([rk, np.nextafter(rk[1:], -1.0),
                         np.nextafter(rk[:-1], np.inf)])
-    assert np.array_equal(table.u0_at(r), table._u_spline(r))
-    assert np.array_equal(table.du0_at(r), table._du_spline(r))
+    ref = scipy_splines(table)
+    assert np.array_equal(table.u0_at(r), ref.u(r))
+    assert np.array_equal(table.du0_at(r), ref.du(r))
+
+
+def _knots(n):
+    """n strictly increasing knots with gaps in [1e-3, 10], from anywhere
+    in [-100, 100]."""
+    return st.tuples(st.floats(-100.0, 100.0),
+                     st.lists(st.floats(1e-3, 10.0), min_size=n - 1,
+                              max_size=n - 1)).map(
+        lambda t: t[0] + np.concatenate([[0.0], np.cumsum(t[1])]))
+
+
+def _around(x, extra):
+    """Query points: `extra`, the knots x and the floats on either side of
+    them, points beyond both ends, and NaN."""
+    return np.concatenate([extra, x, np.nextafter(x, -np.inf),
+                           np.nextafter(x, np.inf),
+                           [x[0] - 7.5, x[-1] + 7.5, np.nan]])
+
+
+def _same(got, ref):
+    return got.shape == ref.shape and np.array_equal(got, ref,
+                                                     equal_nan=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(4, 40))
+def test_not_a_knot_is_scipys_cubic_spline(data, n):
+    x = data.draw(_knots(n))
+    y = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n,
+                                    max_size=n)))
+    got, ref = _Cubic(x, y), CubicSpline(x, y)
+    assert np.array_equal(_not_a_knot(x, y), ref.c)
+    assert np.array_equal(got.c, ref.c)
+    xq = _around(x, data.draw(st.lists(st.floats(x[0] - 20.0, x[-1] + 20.0),
+                                       max_size=30)))
+    value, slope = got.value_and_slope(xq)
+    assert _same(got(xq), ref(xq))
+    assert _same(value, ref(xq))
+    assert _same(slope, ref.derivative()(xq))
+
+
+def test_table_splines_are_scipys(table):
+    ref = scipy_splines(table)
+    assert np.array_equal(table._u_c, ref.u.c)
+    assert np.array_equal(table._du_c, ref.du.c)
+    for got, want in ((table._ls, ref.ls), (table._ls_inv, ref.inv)):
+        assert np.array_equal(got.x, want.x)
+        assert np.array_equal(got.c, want.c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.floats(-20.0, 150.0), max_size=40),
+       levels=st.lists(st.floats(-130.0, 10.0), max_size=40))
+def test_upsilon_and_its_inverse_are_scipys(table, lengths, levels):
+    ref = scipy_splines(table)
+    s = _around(table.s, lengths)
+    ls, lsd = ref.ls(s), ref.ls.derivative()(s)
+    assert _same(table._ls(s), ls)
+    assert _same(table.upsilon(s), np.exp(ls))
+    assert _same(table.upsilon_prime(s), np.exp(ls) * lsd)
+    y = _around(table._ls_inv.x, levels)
+    assert _same(table._ls_inv(y), ref.inv(y))
+    # scalars as scipy returns them: numpy floats for Upsilon and Upsilon'
+    for t in (S_MIN, 10.0, S_MAX, 150.0):
+        assert type(table.upsilon(t)) is np.float64
+        assert table.upsilon(t) == np.exp(ref.ls(t))
+        assert table.upsilon_prime(t) == \
+            np.exp(ref.ls(t)) * ref.ls.derivative()(t)
+
+
+@pytest.mark.parametrize("name", ["u0", "s"])
+def test_load_rejects_a_corrupted_table(table, tmp_path, name):
+    # a NaN in the profile, or lengths that stop increasing
+    path = tmp_path / "table.npz"
+    table.save(path)
+    with np.load(path) as d:
+        arrays = dict(d)
+    bad = arrays[name].copy()
+    if name == "u0":
+        bad[100] = np.nan
+    else:
+        bad[[10, 11]] = bad[[11, 10]]
+    np.savez(path, **{**arrays, name: bad})
+    with pytest.raises(ValueError, match="spline knots"):
+        InteractionTable.load(path)
+
+
+def test_cli_import_and_warm_load_skip_the_heavy_scipy_modules(cache_env):
+    # the CLI's set-up, in a fresh interpreter on the warm table cache
+    assert os.path.exists(table_cache_path(CACHE_DIR))
+    code = ("import sys, netforge.cli, netforge.interaction as i\n"
+            "i.load_or_build()\n"
+            "print(' '.join(m for m in ('scipy.interpolate', "
+            "'scipy.optimize', 'scipy.integrate', 'scipy.sparse.linalg') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=cache_env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == ""
 
 
 def test_table_needs_the_uniform_grid(table):
