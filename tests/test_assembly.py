@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netforge.assembly import (Assembly, Configuration,
@@ -282,6 +282,8 @@ def _assert_assembly_roundtrips(asm, path):
 @given(ab=st.lists(st.floats(0.001, 0.05), min_size=2, max_size=2,
                    unique=True).map(sorted),
        perturbation=st.floats(0.0, 0.02), seed=st.integers(0, 2 ** 16))
+# a move below balance_nearby's default tolerance must still be re-balanced
+@example(ab=[0.03125, 0.046875], perturbation=1e-11, seed=2)
 def test_nc_assembly_json_roundtrip(tmp_path_factory, ab, perturbation,
                                     seed):
     asm = n_c_assembly(*ab, perturbation=perturbation, seed=seed)
