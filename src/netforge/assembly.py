@@ -12,8 +12,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.spatial import cKDTree
 
 from .geometry import Piece, pieces_conflict
 from .linearize import augmented_df_a
@@ -213,22 +211,26 @@ def _check_min_distance(asm):
 def _check_ray_separation(asm):
     """Integer points along anchor rays keep distance > 1 from sub vertices
     and from the integer points of other rays; the search ranges are finite
-    because the distance provably exceeds 1 beyond them."""
+    because the distance provably exceeds 1 beyond them. Each ray takes
+    one array of distances to the sub vertices, each pair of rays one grid
+    over j, j'; a failure names the first violation in that order."""
     for p, sub in asm.subs.items():
         diam = sub.net.diameter()
         rays = _rays(asm, p)
         jmax_v = math.ceil(diam + 2)
         for (o, u, q) in rays:
-            for r in sub.net.ids:
-                v = sub.net.vertices[r]
-                if v == o:
-                    continue
-                for j in range(1, jmax_v + 1):
-                    d = abs(o + j * u - v)
-                    if d < 1.0 + GEOM_TOL:
-                        return False, (f"sub vertex {r!r} at {p!r} within "
-                                       f"{d:.9f} of ray point j={j} "
-                                       f"toward {q!r}")
+            ids = [r for r in sub.net.ids if sub.net.vertices[r] != o]
+            v = np.array([sub.net.vertices[r] for r in ids], dtype=complex)
+            j = np.arange(1.0, jmax_v + 1.0)
+            # o + j u - v, rounded as the complex scalars round it
+            d = np.hypot((o.real + j * u.real) - v.real[:, None],
+                         (o.imag + j * u.imag) - v.imag[:, None])
+            bad = np.flatnonzero(d < 1.0 + GEOM_TOL)
+            if bad.size:
+                i, j = divmod(int(bad[0]), jmax_v)
+                return False, (f"sub vertex {ids[i]!r} at {p!r} within "
+                               f"{d[i, j]:.9f} of ray point j={j + 1} "
+                               f"toward {q!r}")
         for i in range(len(rays)):
             for k in range(i + 1, len(rays)):
                 o1, u1, q1 = rays[i]
@@ -244,13 +246,19 @@ def _check_ray_separation(asm):
                                        f"at {p!r} separated by {lat:.6f}")
                     continue
                 jmax = math.ceil((diam + 2) / (math.sqrt(2.0) * half)) + 1
-                for j in range(1, jmax + 1):
-                    for jp in range(1, jmax + 1):
-                        d = abs(o1 + j * u1 - o2 - jp * u2)
-                        if d < 1.0 + GEOM_TOL:
-                            return False, (f"rays toward {q1!r} and {q2!r} "
-                                           f"at {p!r}: points j={j}, "
-                                           f"j'={jp} at distance {d:.9f}")
+                j = np.arange(1.0, jmax + 1.0)
+                # o1 + j u1 - o2 - j' u2 over the grid of j (rows), j'
+                d = np.hypot(((o1.real + j * u1.real) - o2.real)[:, None]
+                             - j * u2.real,
+                             ((o1.imag + j * u1.imag) - o2.imag)[:, None]
+                             - j * u2.imag)
+                bad = np.flatnonzero(d < 1.0 + GEOM_TOL)
+                if bad.size:
+                    j, jp = divmod(int(bad[0]), jmax)
+                    return False, (f"rays toward {q1!r} and {q2!r} "
+                                   f"at {p!r}: points j={j + 1}, "
+                                   f"j'={jp + 1} at distance "
+                                   f"{d[j, jp]:.9f}")
     return True, ""
 
 
@@ -434,6 +442,16 @@ def solve_master(asm, kappa, ell, table, f=None, tol=1e-11, skip_verify=False,
     return finish(x, info)
 
 
+def _null_space(a):
+    """Orthonormal basis of the null space of the matrix `a`, as columns,
+    bit for bit as scipy.linalg.null_space finds it: the rows of V^T from
+    the SVD past the singular values above eps * max(a.shape) times the
+    largest."""
+    _, s, vh = np.linalg.svd(a)
+    tol = np.amax(s, initial=0.0) * (np.finfo(s.dtype).eps * max(a.shape))
+    return vh[np.sum(s > tol, dtype=int):].T
+
+
 def _master_system(asm, kappa, ell, table, f=None, m_map=None):
     """The master solve's equations as (fun, jac, x0, finish).
 
@@ -471,11 +489,11 @@ def _master_system(asm, kappa, ell, table, f=None, m_map=None):
     avec = np.array([master.weights[e] for e in edges])
     nm = 2 * n + m               # reparametrized master block size
     dP = np.zeros((2 * n, nm))
-    dP[:, :2 * n - 1] = null_space(pvec[None, :])
+    dP[:, :2 * n - 1] = _null_space(pvec[None, :])
     dP[:, nm - 2] = -(2 * ell - 1) / 2 * pvec
     dP[:, nm - 1] = pvec
     dA = np.zeros((m, nm))
-    dA[:, 2 * n - 1:nm - 2] = null_space(avec[None, :])
+    dA[:, 2 * n - 1:nm - 2] = _null_space(avec[None, :])
     dA[:, nm - 2] = -ell ** 2 * avec
 
     # Sub-network unknowns follow the master block, e and t: per master
@@ -674,41 +692,101 @@ def _read_only(a):
     return a
 
 
+def _runs(start, stop):
+    """The positions range(a, b) for each pair of start and stop, one run
+    after another (a run with b <= a is empty)."""
+    n = np.maximum(stop - start, 0)
+    return np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n)
+
+
 class CloudIndex:
-    """A KD-tree over the (x, y) of a cloud's finite points.
+    """A grid of square cells of side `cell` over the (x, y) of a cloud's
+    finite points. Each point's cell key row * ncol + col is sorted once,
+    so the points of one row of cells between two columns are one run of
+    the sorted order, which searchsorted finds.
 
     Queries return candidates: every point the radius reaches and perhaps
     a few just beyond it, in ascending index order. Callers re-apply their
-    own distance test to them, so results do not depend on how the tree
+    own distance test to them, so results do not depend on how the index
     rounds distances. Points at non-finite positions pass no distance
-    test and are left out of the tree."""
+    test and are left out of the grid. A query costs least when its
+    radius is about a cell."""
 
-    def __init__(self, positions):
+    def __init__(self, positions, cell):
+        if not 0.0 < cell < math.inf:
+            raise ValueError(f"cell side must be positive and finite, "
+                             f"not {cell}")
         finite = np.isfinite(positions)
-        self._ids = np.flatnonzero(finite)
-        xy = np.column_stack([positions.real[finite],
-                              positions.imag[finite]])
-        self.tree = cKDTree(xy)
+        z = positions[finite]
+        x0, y0 = (z.real.min(), z.imag.min()) if z.size else (0.0, 0.0)
         # radius slack: many times the rounding of a distance computed
         # from these coordinates
-        self._slack = 1e-9 * (1.0 + float(np.max(np.abs(xy), initial=0.0)))
+        self._slack = 1e-9 * (1.0 + float(np.max(
+            np.abs(np.concatenate((z.real, z.imag))), initial=0.0)))
+        # at most 2**30 cells a side, so that every key fits an int64; a
+        # coarser cell only adds candidates
+        spread = max(np.ptp(z.real), np.ptp(z.imag)) if z.size else 0.0
+        self._cell = max(float(cell), spread / 2.0 ** 30)
+        self._origin = complex(x0, y0)
+        col = ((z.real - x0) / self._cell).astype(np.int64)
+        row = ((z.imag - y0) / self._cell).astype(np.int64)
+        self._ncol = int(col.max(initial=0)) + 1
+        key = row * self._ncol + col
+        order = np.argsort(key, kind="stable")
+        self._key, self._row, self._col = key[order], row[order], col[order]
+        self._ids = np.flatnonzero(finite)[order]
+        self._size = len(positions)
+        self._z = z[order]
+        self._occupied = np.unique(row)      # the rows holding a point
 
     def near(self, center, r):
         """Candidate indices (an int array) of the points within r of the
         complex center."""
         c = complex(center)
-        if not cmath.isfinite(c):
+        reach = r + self._slack
+        if not (cmath.isfinite(c) and reach >= 0.0):
             return self._ids[:0]
-        hits = self.tree.query_ball_point((c.real, c.imag), r + self._slack,
-                                          return_sorted=True)
-        return self._ids[hits]
+        # the cells of the square [c - reach, c + reach]^2, clipped near
+        # the grid before they become integers
+        o = c - self._origin
+        x_lo, y_lo, x_hi, y_hi = (
+            math.floor(min(max(t / self._cell, -1.0), 2.0 ** 31))
+            for t in (o.real - reach, o.imag - reach,
+                      o.real + reach, o.imag + reach))
+        a, b = np.searchsorted(self._occupied, (y_lo, y_hi + 1))
+        k = _runs(*np.searchsorted(
+            self._key, self._occupied[a:b] * self._ncol
+            + [[max(x_lo, 0)], [min(x_hi, self._ncol - 1) + 1]]))
+        k = k[np.abs(self._z[k] - c) <= reach]
+        return np.sort(self._ids[k])
 
     def pairs(self, r):
         """Candidate index pairs (i < j) at distance <= r, as a (k, 2)
         array in lexicographic order."""
-        ij = self._ids[self.tree.query_pairs(r + self._slack,
-                                             output_type="ndarray")]
-        return ij[np.lexsort((ij[:, 1], ij[:, 0]))]
+        reach = r + self._slack
+        if not reach >= 0.0:
+            return np.empty((0, 2), dtype=self._ids.dtype)
+        # rings of cells that can hold a point within reach
+        k = math.ceil(min(reach / self._cell, 2.0 ** 31))
+        # each point against the occupied rows from its own to k above
+        # it, columns col - k to col + k; on its own row (the first of
+        # its runs) only against the points after it in the sorted order
+        first = np.searchsorted(self._occupied, self._row)
+        count = np.searchsorted(self._occupied, self._row + k + 1) - first
+        p = np.repeat(np.arange(len(self._key)), count)
+        base = self._occupied[_runs(first, first + count)] * self._ncol
+        col = self._col[p]
+        start, stop = np.searchsorted(self._key, (
+            base + np.maximum(col - k, 0),
+            base + np.minimum(col + k, self._ncol - 1) + 1))
+        start[np.cumsum(count) - count] = np.arange(1, len(self._key) + 1)
+        a, b = np.repeat(p, stop - start), _runs(start, stop)
+        keep = np.abs(self._z[a] - self._z[b]) <= reach
+        i, j = self._ids[a[keep]], self._ids[b[keep]]
+        # i < j in lexicographic order, by the key i n + j
+        n = self._size
+        return np.column_stack(np.divmod(
+            np.sort(np.minimum(i, j) * n + np.maximum(i, j)), n))
 
 
 @dataclass(eq=False)
@@ -745,8 +823,9 @@ class Configuration:
 
     @cached_property
     def index(self):
-        """The CloudIndex of `positions`, built on first use and kept."""
-        return CloudIndex(self.positions)
+        """The CloudIndex of `positions` in cells of side ell, built on
+        first use and kept."""
+        return CloudIndex(self.positions, self.ell)
 
 
 def generate_cloud(result, table, eta=None):

@@ -12,7 +12,6 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import eye, kron, diags
 
 from .interaction import f, fprime
 from .solvers import damped_newton
@@ -286,6 +285,7 @@ def refine(config, table, half_width, spacing=0.1, tol=1e-10, maxiter=40,
     superposed field.
     Experimental: configurations without a nearby true solution drift or
     stall, which is reported rather than raised."""
+    from scipy.sparse import diags, eye, kron
     start = residual(config, FieldWindow(center, half_width, spacing), table)
     ni = start.u.shape[0] - 2
     h = spacing

@@ -14,19 +14,19 @@ quadrature runs on the grid points with r <= R_SUPPORT only. All
 consumers go through an InteractionTable, which can be cached on disk.
 
 The table file holds knots and values only. Loading it fits the cubic
-splines of u0, u0', ln Upsilon and its inverse with _not_a_knot, which
-reproduces scipy.interpolate.CubicSpline bit for bit through
-scipy.linalg; so a CLI process, which only loads the table, never imports
-scipy.interpolate, scipy.optimize or scipy.integrate.
+splines of ln Upsilon and its inverse with _not_a_knot, which reproduces
+scipy.interpolate.CubicSpline bit for bit with a pure-Python tridiagonal
+solve; the splines of u0 and u0' are fitted the same way when the profile
+is first evaluated. So loading the table imports no scipy module, and a
+CLI process imports scipy.special only for the Bessel tail beyond R_MAX.
 """
 
 import hashlib
 import math
 import os
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.special import i1, k0, k1
 
 
 def f(u):
@@ -114,6 +114,7 @@ def ground_state_beta(bracket=(1.5, 3.0), iters=62):
 
 def _profile_grid(beta):
     """(r, u0, du0, A): grid profile with the K0 tail glued at R_SWITCH."""
+    from scipy.special import k0, k1
     r = np.arange(0.0, R_MAX + DR / 2, DR)
     sol = _shoot(beta, R_SWITCH + 0.5, rtol=1e-13, dense=True)
     if sol.t[-1] < R_SWITCH:
@@ -146,46 +147,112 @@ def _simpson_weights(n, h):
     return w * (h / 3.0)
 
 
-def _not_a_knot(x, y):
-    """Coefficients, rows c0..c3 of c0 s^3 + c1 s^2 + c2 s + c3 with
-    s = xq - x[i], of the not-a-knot cubic spline through (x, y), bit for
-    bit as scipy.interpolate.CubicSpline computes them: the same
-    tridiagonal system for the slopes at the knots, solved by the same
-    solve_banded call, then the same Hermite form. Like CubicSpline, it
-    raises ValueError on non-finite data or on knots that do not strictly
-    increase."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape or x.size < 4:
+def _check_knots(x, y):
+    """Raise ValueError, as CubicSpline does, unless x holds at least 4
+    finite, strictly increasing knots and y as many finite values (along
+    its first axis)."""
+    if x.ndim != 1 or x.shape[0] != y.shape[0] or x.size < 4:
         raise ValueError("a spline needs matching 1-d knots and values, "
                          "at least 4")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("spline knots and values must be finite")
-    dx = np.diff(x)
-    if np.any(dx <= 0):
+    if np.any(np.diff(x) <= 0):
         raise ValueError("spline knots must be strictly increasing")
+
+
+def _gtsv(dl, d, du, b):
+    """The solution x of A x = b, column by column of the 2-d array b, for
+    the tridiagonal A with sub-, main and superdiagonals dl, d and du, bit
+    for bit as LAPACK's dgtsv computes it (scipy.linalg.solve_banded calls
+    it for a (1, 1) band): elimination swaps rows i and i + 1 when
+    |dl[i]| > |d[i]| (not on a tie), divides by the pivot, keeps the
+    fill-in on a second superdiagonal du2, and back-substitutes
+    ((x[i] - du[i] x[i+1]) - du2[i] x[i+2]) / d[i]. One elimination serves
+    all the columns."""
+    n = len(d)
+    # mult[i] is the multiplier of row i's elimination, dl[i] at first
+    d, du, mult = d.tolist(), du.tolist() + [0.0], dl.tolist()
+    du2 = [0.0] * n
+    swap = [False] * (n - 1)
+    for i in range(n - 1):
+        di, li = d[i], mult[i]
+        if abs(di) >= abs(li):
+            if di == 0.0:
+                raise np.linalg.LinAlgError("singular matrix")
+            mult[i] = m = li / di
+            d[i + 1] -= m * du[i]
+        else:
+            swap[i] = True
+            d[i] = li
+            mult[i] = m = di / li
+            d[i + 1], du[i] = du[i] - m * d[i + 1], d[i + 1]
+            if i < n - 2:
+                du2[i] = du[i + 1]
+                du[i + 1] = -m * du2[i]
+    if d[-1] == 0.0:
+        raise np.linalg.LinAlgError("singular matrix")
+    x = np.empty(b.shape)
+    for j in range(b.shape[1]):
+        # b through the row operations: y[i] is final once row i + 1 is
+        # eliminated, `last` the running value of the row below
+        col = b[:, j].tolist()
+        y, last = [], col[0]
+        for bi, m, s in zip(col[1:], mult, swap):
+            if s:
+                y.append(bi)
+                last = last - m * bi
+            else:
+                y.append(last)
+                last = bi - m * last
+        y.append(last)
+        # from the last row up; du2[n - 2] is 0, so x[n] = 0 drops out
+        x1, x2 = y[-1] / d[-1], 0.0
+        up = [x1]
+        for yi, ui, u2i, di in zip(y[-2::-1], du[-2::-1], du2[-2::-1],
+                                   d[-2::-1]):
+            x1, x2 = (yi - ui * x1 - u2i * x2) / di, x1
+            up.append(x1)
+        x[::-1, j] = up
+    return x
+
+
+def _not_a_knot(x, y):
+    """Coefficients, rows c0..c3 of c0 s^3 + c1 s^2 + c2 s + c3 with
+    s = xq - x[i], of the not-a-knot cubic spline through (x, y), bit for
+    bit as scipy.interpolate.CubicSpline computes them: the same
+    tridiagonal system for the slopes at the knots, solved as
+    solve_banded solves it (_gtsv), then the same Hermite form. Like
+    CubicSpline it fits every column of a 2-d y (knots along axis 0, the
+    coefficients of column j at [..., j]) and raises ValueError on
+    non-finite data or on knots that do not strictly increase."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    _check_knots(x, y)
     n = x.size
-    slope = np.diff(y) / dx
-    A = np.zeros((3, n))                  # banded: upper, diagonal, lower
-    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    A[0, 2:] = dx[:-1]
-    A[-1, :-2] = dx[1:]
-    b = np.empty(n)
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    dx = np.diff(x)
+    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    d = np.empty(n)                       # diagonal, super- and sub-
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    du = np.empty(n - 1)
+    du[1:] = dx[:-1]
+    dl = np.empty(n - 1)
+    dl[:-1] = dx[1:]
+    b = np.empty(y.shape)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
     # not-a-knot: the third derivative is continuous at x[1] and x[-2]
-    d = x[2] - x[0]
-    A[1, 0] = dx[1]
-    A[0, 1] = d
-    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    A[1, -1] = dx[-2]
-    A[-1, -2] = d
+    e = x[2] - x[0]
+    d[0] = dx[1]
+    du[0] = e
+    b[0] = ((dx[0] + 2 * e) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / e
+    e = x[-1] - x[-3]
+    d[-1] = dx[-2]
+    dl[-1] = e
     b[-1] = ((dx[-1]**2 * slope[-2]
-              + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d)
-    m = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
-                     overwrite_b=True, check_finite=False).reshape(n)
-    t = (m[:-1] + m[1:] - 2 * slope) / dx
-    return np.stack((t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]))
+              + (2 * e + dx[-1]) * dx[-2] * slope[-1]) / e)
+    m = _gtsv(dl, d, du, b.reshape(n, -1)).reshape(y.shape)
+    t = (m[:-1] + m[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - m[:-1]) / dxr - t, m[:-1], y[:-1]))
 
 
 class _Cubic:
@@ -267,8 +334,8 @@ class InteractionTable:
         self.A = float(A)
         if not np.array_equal(self.r, np.arange(self.r.size) * DR):
             raise ValueError("profile grid must be r = i * DR")
-        self._u_c = _not_a_knot(self.r, self.u0)
-        self._du_c = _not_a_knot(self.r, self.du0)
+        # the profile splines are fitted on first use, their data checked now
+        _check_knots(self.r, np.column_stack((self.u0, self.du0)))
         if s is None:
             s = np.arange(S_MIN, S_MAX + S_STEP / 2, S_STEP)
         self.s = np.asarray(s, dtype=float)
@@ -287,6 +354,7 @@ class InteractionTable:
         """Upsilon at the lengths `s` on the grid of upsilon_direct: the
         Graf closed form from S_CLOSED on, the quadrature over G's support
         below it."""
+        from scipy.special import i1, k1
         X, Y, GW = _interaction_kernel(self, (1.0, 0.0), QUAD_N, QUAD_EXTENT)
         R = np.hypot(X, Y)
         far = s >= S_CLOSED
@@ -303,23 +371,41 @@ class InteractionTable:
 
     # --- profile -------------------------------------------------------
 
+    @cached_property
+    def _profile_c(self):
+        """Coefficients of the u0 and u0' splines, fitted together: they
+        share the knots r, so one elimination serves both."""
+        c = _not_a_knot(self.r, np.column_stack((self.u0, self.du0)))
+        return np.ascontiguousarray(np.moveaxis(c, -1, 0))
+
+    @property
+    def _u_c(self):
+        return self._profile_c[0]
+
+    @property
+    def _du_c(self):
+        return self._profile_c[1]
+
     def u0_at(self, r):
-        return self._radial(r, self._u_c, lambda x: self.A * k0(x))
+        return self._radial(r, self._u_c, "k0", self.A)
 
     def du0_at(self, r):
-        return self._radial(r, self._du_c, lambda x: -self.A * k1(x))
+        return self._radial(r, self._du_c, "k1", -self.A)
 
-    def _radial(self, r, c, tail):
-        """The spline with coefficients `c` on the grid, the Bessel tail
-        beyond it (and at NaN); each point runs only its own branch."""
+    def _radial(self, r, c, bessel, amplitude):
+        """The spline with coefficients `c` on the grid, the tail
+        amplitude * K(r) beyond it (and at NaN), K the scipy.special
+        function named `bessel`; each point runs only its own branch."""
         r = np.asarray(r, dtype=float)
         inside = r <= self.r[-1]
         if inside.all():
             out = _spline_on_grid(c, r)
         else:
+            import scipy.special
             out = np.empty_like(r)
             out[inside] = _spline_on_grid(c, r[inside])
-            out[~inside] = tail(r[~inside])
+            out[~inside] = amplitude * getattr(scipy.special, bessel)(
+                r[~inside])
         return out if out.ndim else float(out)
 
     def tail_constant(self):

@@ -4,7 +4,6 @@ Jacobians."""
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import issparse
 
 
 class SolverError(RuntimeError):
@@ -61,7 +60,7 @@ def damped_newton(fun, x0, jac=None, tol=1e-11, scale=1.0, maxiter=100,
             fun_evals += len(x)
         jac_evals += 1
         try:
-            if issparse(J):
+            if not isinstance(J, np.ndarray):     # a scipy.sparse matrix
                 from scipy.sparse.linalg import splu
                 dx = splu(J.tocsc()).solve(-f)
             elif J.shape[0] == J.shape[1]:

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
-from netforge.assembly import (Assembly, Configuration,
-                               SubNetwork, _master_system, chain_correct,
+from netforge.assembly import (GEOM_TOL, Assembly, CloudIndex,
+                               Configuration, SubNetwork,
+                               _check_ray_separation, _master_system,
+                               _null_space, _rays, chain_correct,
                                chain_matrix, chain_matrix_inverse,
                                coordinate_quantization,
                                diagnostic_chain_cloud, generate_cloud,
@@ -339,8 +342,9 @@ def test_neighbor_graph_near_band_past_far_band():
 
 
 def test_neighbor_graph_keeps_pair_on_band_edge():
-    # |z| is exactly ell + C = 10, but the KD-tree's squared distance
-    # rounds above 100: only the slack on its radius keeps the pair
+    # |z| is exactly ell + C = 10, but its squared distance rounds above
+    # 100: an index that compares squares keeps the pair only by the
+    # slack on its radius
     z = complex(3.07112432354196, 9.51673239034013)
     cfg = Configuration([0j, z], [1, 1], ["a", "b"], 9.5)
     nb = neighbor_graph(cfg, C=0.5, delta=0.0)
@@ -420,6 +424,198 @@ def test_neighbor_graph_skips_non_finite_points():
     assert (nb.neighbors, nb.violations, nb.degree_mismatches) == \
         _neighbor_graph_loop(config, 0.5, 0.05)
     assert nb.degree_mismatches == [(4, 1, 0)]
+
+
+@st.composite
+def index_clouds(draw):
+    """(positions, cell, centers, radii) for CloudIndex: points from a
+    spread of 1e-3 to 1e15 about a negative corner, on a lattice of
+    quarter cells (so on cell edges, with repeats) or anywhere, with NaN
+    and infinite positions, duplicates, and the radii that reach exactly
+    to other points."""
+    scale = 10.0 ** draw(st.integers(-3, 15))
+    cell = scale * draw(st.sampled_from((0.05, 0.25, 1.0, 4.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(0, 40))
+    xy = rng.uniform(-1.0, 1.0, (n, 2))
+    if draw(st.booleans()):
+        xy = np.round(xy * 4.0) / 4.0
+    z = list(scale * (xy[:, 0] + 1j * xy[:, 1]))
+    for _ in range(draw(st.integers(0, 3))):
+        z.append(z[int(rng.integers(len(z)))] if z and rng.random() < 0.5
+                 else draw(st.sampled_from((
+                     complex("nan"), complex("inf"), complex(1.0, -math.inf),
+                     complex("nan+1j")))))
+    z = np.array(z, dtype=complex)[rng.permutation(len(z))]
+    ok = z[np.isfinite(z)]
+    radii = [0.0, 0.5 * cell, cell, 2.5 * cell, 3.0 * scale]
+    radii += [abs(ok[i] - ok[j]) for i, j in rng.integers(len(ok), size=(4, 2))
+              ] if ok.size else []
+    centers = list(ok[:4]) + [scale * complex(*rng.uniform(-1.5, 1.5, 2))]
+    return z, cell, centers, radii
+
+
+@settings(max_examples=150, deadline=None)
+@given(index_clouds())
+def test_cloud_index_after_distance_test_is_brute_force(cloud):
+    z, cell, centers, radii = cloud
+    index = CloudIndex(z, cell)
+    n = len(z)
+    # every pair i < j in lexicographic order, its distance as the
+    # callers take it (numpy's complex abs on arrays, which can differ
+    # from the scalar abs in the last bit)
+    every = np.column_stack(np.triu_indices(n, 1))
+    for r in radii:
+        ij = index.pairs(r)
+        assert ij.shape[1] == 2 and np.all(ij[:, 0] < ij[:, 1])
+        assert np.all(np.diff(ij[:, 0] * n + ij[:, 1]) > 0)
+        kept = ij[np.abs(z[ij[:, 1]] - z[ij[:, 0]]) <= r]
+        with np.errstate(invalid="ignore"):          # inf - inf
+            brute = every[np.abs(z[every[:, 1]] - z[every[:, 0]]) <= r]
+        assert np.array_equal(kept, brute)
+        for c in centers:
+            k = index.near(c, r)
+            assert np.all(np.diff(k) > 0)
+            assert np.array_equal(k[np.abs(z[k] - c) <= r],
+                                  np.flatnonzero(np.abs(z - c) <= r))
+
+
+def test_cloud_index_coarsens_a_cell_whose_keys_would_overflow():
+    # 1e15 / 1e-3 cells a side: row * ncol + col would pass 2**63
+    z = np.array([0j, 1e15 + 1e15j, 1e15, 1e15j, 1.0, 1.0 + 5e-4j,
+                  -3e14 + 2e14j], dtype=complex)
+    index = CloudIndex(z, 1e-3)
+    every = np.column_stack(np.triu_indices(len(z), 1))
+    for r in (1e-3, 1.0, 1e14, 1.5e15):
+        ij = index.pairs(r)
+        assert np.array_equal(
+            ij[np.abs(z[ij[:, 1]] - z[ij[:, 0]]) <= r],
+            every[np.abs(z[every[:, 1]] - z[every[:, 0]]) <= r])
+        for c in z:
+            k = index.near(c, r)
+            assert np.array_equal(k[np.abs(z[k] - c) <= r],
+                                  np.flatnonzero(np.abs(z - c) <= r))
+
+
+def test_cloud_index_of_an_empty_cloud():
+    index = CloudIndex(np.array([complex("nan")]), 1.0)
+    assert index.near(0j, 5.0).tolist() == []
+    assert index.pairs(5.0).shape == (0, 2)
+    with pytest.raises(ValueError, match="cell side"):
+        CloudIndex(np.zeros(2, dtype=complex), 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 80), scale=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2 ** 32 - 1), zeros=st.integers(0, 3))
+def test_null_space_is_scipys(n, scale, seed, zeros):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(1, n)) * scale
+    a[0, rng.integers(n, size=zeros)] = 0.0
+    got, want = _null_space(a), null_space(a)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def _check_ray_separation_loop(asm):
+    """Reference: the scalar double loop that checked ray separation
+    before it took arrays, message for message."""
+    for p, sub in asm.subs.items():
+        diam = sub.net.diameter()
+        rays = _rays(asm, p)
+        jmax_v = math.ceil(diam + 2)
+        for (o, u, q) in rays:
+            for r in sub.net.ids:
+                v = sub.net.vertices[r]
+                if v == o:
+                    continue
+                for j in range(1, jmax_v + 1):
+                    d = abs(o + j * u - v)
+                    if d < 1.0 + GEOM_TOL:
+                        return False, (f"sub vertex {r!r} at {p!r} within "
+                                       f"{d:.9f} of ray point j={j} "
+                                       f"toward {q!r}")
+        for i in range(len(rays)):
+            for k in range(i + 1, len(rays)):
+                o1, u1, q1 = rays[i]
+                o2, u2, q2 = rays[k]
+                cosg = max(-1.0, min(1.0, (u1 * u2.conjugate()).real))
+                half = math.sqrt(max(0.0, (1.0 - cosg) / 2.0))
+                if half < 1e-6:
+                    lat = abs((o2 - o1).imag * u1.real
+                              - (o2 - o1).real * u1.imag)
+                    if lat < 1.0 + GEOM_TOL and abs(o1 - o2) > GEOM_TOL:
+                        return False, (f"parallel rays toward {q1!r},{q2!r} "
+                                       f"at {p!r} separated by {lat:.6f}")
+                    continue
+                jmax = math.ceil((diam + 2) / (math.sqrt(2.0) * half)) + 1
+                for j in range(1, jmax + 1):
+                    for jp in range(1, jmax + 1):
+                        d = abs(o1 + j * u1 - o2 - jp * u2)
+                        if d < 1.0 + GEOM_TOL:
+                            return False, (f"rays toward {q1!r} and {q2!r} "
+                                           f"at {p!r}: points j={j}, "
+                                           f"j'={jp} at distance {d:.9f}")
+    return True, ""
+
+
+@pytest.mark.parametrize("k", range(3, 33))
+def test_ray_separation_matches_loop_on_example_5_1(k):
+    asm = example_5_1(k)
+    assert _check_ray_separation(asm) == _check_ray_separation_loop(asm)
+    # the rays of a small polygon's centre come within 1 of each other
+    assert _check_ray_separation(asm)[0] == (k >= 7)
+
+
+@st.composite
+def ray_assemblies(draw):
+    """A master star p -> q1..qm with one sub at p: random vertices within
+    2 of its origin, anchors among them, rays in random directions (two
+    of them sometimes parallel), so that ray points come near vertices
+    and each other at every j."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nv = draw(st.integers(1, 6))
+    verts = {f"r{i}": complex(*rng.uniform(-2.0, 2.0, 2)) for i in range(nv)}
+    m = draw(st.integers(1, 4))
+    angles = rng.uniform(0, 2 * math.pi, m)
+    if m > 1 and draw(st.booleans()):
+        angles[1] = angles[0]
+    master = Network({"p": 0j, **{f"q{i}": 10 * complex(math.cos(t),
+                                                        math.sin(t))
+                                  for i, t in enumerate(angles)}},
+                     {("p", f"q{i}"): 1.0 for i in range(m)})
+    anchors = {f"q{i}": f"r{int(rng.integers(nv))}" for i in range(m)}
+    subs = {q: singleton_at(master, q) for q in master.ids if q != "p"}
+    subs["p"] = SubNetwork(Network(verts, {}), anchors)
+    return Assembly(master, subs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ray_assemblies())
+def test_ray_separation_matches_loop_on_planted_rays(asm):
+    assert _check_ray_separation(asm) == _check_ray_separation_loop(asm)
+
+
+def test_ray_separation_names_the_first_violation_in_loop_order():
+    # ray a runs along +x from o, ray b along +y from s = 2 - 3i, so its
+    # point j' = 3 is ray a's point j = 2; v sits 0.5 from ray a's j = 3
+    master = Network({"p": 0j, "a": 10 + 0j, "b": 10j},
+                     {("a", "p"): 1.0, ("b", "p"): 1.0})
+
+    def asm(**vertices):
+        sub = SubNetwork(Network({"o": 0j, "s": 2 - 3j, **vertices}, {}),
+                         {"a": "o", "b": "s"})
+        return Assembly(master, {"p": sub, "a": singleton_at(master, "a"),
+                                 "b": singleton_at(master, "b")})
+
+    # the vertex is checked first; of the ray points, (j, j') = (1, 3) at
+    # distance exactly 1 comes before the crossing at (2, 3)
+    cases = [(asm(v=3 + 0.5j), "sub vertex 'v' at 'p' within 0.500000000 "
+                               "of ray point j=3 toward 'a'"),
+             (asm(), "rays toward 'a' and 'b' at 'p': points j=1, j'=3 at "
+                     "distance 1.000000000")]
+    for a, message in cases:
+        assert _check_ray_separation(a) == (False, message)
+        assert _check_ray_separation_loop(a) == (False, message)
 
 
 def test_chain_matrix_inverse_closed_form():

@@ -94,7 +94,7 @@ def _load_cloud_loop(path):
 
 
 def _neighbor_graph_per_point(config, C, delta):
-    """Reference: the KD-tree candidates classified pair by pair into
+    """Reference: the cloud index's candidates classified pair by pair into
     per-point neighbor lists. Returns (neighbors, violations,
     mismatches)."""
     z = config.positions

@@ -184,8 +184,9 @@ def test_window_points_match_linear_scan(table, nc_cloud):
 
 
 def test_scans_keep_points_on_reach_edge(table):
-    # each |z| is exactly the reach, but the KD-tree's squared distance
-    # rounds above its square: only the slack on the radius keeps z
+    # each |z| is exactly the reach, but its squared distance rounds
+    # above the reach squared: an index that compares squares keeps z
+    # only by the slack on its radius
     z = complex(13.54070868521458, 32.274590753441856)
     assert abs(z) == 10.0 + 10.0 + REACH
     cfg = Configuration([0j, z], [1, -1], ["a", "b"], 10.0)

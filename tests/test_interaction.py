@@ -5,15 +5,16 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 from scipy.special import k0, k1
 
 from conftest import CACHE_DIR, scipy_splines
 from netforge.interaction import (S_CLOSED, S_MAX, S_MIN, InteractionTable,
-                                  _Cubic, _not_a_knot, build_table, f,
+                                  _Cubic, _gtsv, _not_a_knot, build_table, f,
                                   fprime, table_cache_path, upsilon_direct)
 
 # frozen reference values for the cubic nonlinearity
@@ -172,6 +173,39 @@ def test_not_a_knot_is_scipys_cubic_spline(data, n):
     assert _same(slope, ref.derivative()(xq))
 
 
+@settings(max_examples=100, deadline=None)
+@given(x=st.integers(4, 40).flatmap(_knots), data=st.data())
+@example(x=np.array([0.0, 1.0, 2.0, 5.0]), data=None)
+def test_not_a_knot_pivots_as_scipy(x, data):
+    # [0, 1, 2, 5] with values [0, 0, 0, 1] swaps rows at the second
+    # step, where a solve without pivoting rounds differently
+    y = (np.array([0.0, 0.0, 0.0, 1.0]) if data is None else
+         np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=x.size,
+                                     max_size=x.size))))
+    assert np.array_equal(_not_a_knot(x, y), CubicSpline(x, y).c)
+    # two columns at once, as the table fits u0 and u0'
+    yy = np.column_stack((y, y[::-1]))
+    assert np.array_equal(_not_a_knot(x, yy), CubicSpline(x, yy).c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 30), seed=st.integers(0, 2 ** 32 - 1),
+       ties=st.booleans())
+def test_tridiagonal_solve_is_solve_banded(n, seed, ties):
+    # random bands pivot at about half the steps; integer bands tie
+    rng = np.random.default_rng(seed)
+    ab = (rng.integers(-3, 4, (3, n)).astype(float) if ties
+          else rng.normal(size=(3, n)))
+    b = rng.normal(size=(n, 2))
+    try:
+        want = solve_banded((1, 1), ab, b)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            _gtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+        return
+    assert np.array_equal(_gtsv(ab[2, :-1], ab[1], ab[0, 1:], b), want)
+
+
 def test_table_splines_are_scipys(table):
     ref = scipy_splines(table)
     assert np.array_equal(table._u_c, ref.u.c)
@@ -218,17 +252,33 @@ def test_load_rejects_a_corrupted_table(table, tmp_path, name):
         InteractionTable.load(path)
 
 
+def _scipy_modules_after(code, env, cwd=None):
+    """The scipy modules loaded once `code` has run in a fresh
+    interpreter (the last line it prints)."""
+    code += ("\nimport sys\nprint(' '.join(m for m in sorted(sys.modules) "
+             "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()[-1].split()
+
+
 def test_cli_import_and_warm_load_skip_the_heavy_scipy_modules(cache_env):
     # the CLI's set-up, in a fresh interpreter on the warm table cache
     assert os.path.exists(table_cache_path(CACHE_DIR))
-    code = ("import sys, netforge.cli, netforge.interaction as i\n"
-            "i.load_or_build()\n"
-            "print(' '.join(m for m in ('scipy.interpolate', "
-            "'scipy.optimize', 'scipy.integrate', 'scipy.sparse.linalg') "
-            "if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], env=cache_env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == ""
+    assert _scipy_modules_after("import netforge.cli, netforge.interaction"
+                                " as i\ni.load_or_build()", cache_env) == []
+
+
+def test_configure_and_assemble_import_no_scipy(cache_env, tmp_path):
+    # windows at ell 10 stay within R_MAX, so no Bessel tail is needed
+    code = ("from netforge import cli\n"
+            "assert cli.main(['configure', '--catalog', 'example_5_1', "
+            "'--k', '7', '--kappa', '64', '--ell', '10', '--out', "
+            "'cloud.csv']) == 0\n"
+            "assert cli.main(['assemble', 'cloud.csv', '--ell', '10', "
+            "'--windows', 'anchors', '--out', 'fields.json']) == 0")
+    assert _scipy_modules_after(code, cache_env, tmp_path) == []
+    assert (tmp_path / "fields.json").exists()
 
 
 def test_table_needs_the_uniform_grid(table):
