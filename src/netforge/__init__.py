@@ -11,15 +11,14 @@ from .catalog import (catalog, catalog_names, chain, regular_polygon,
 from .linearize import (adjointness_defect, build_differentials, certify,
                         lambda_matrix, lambda_ring_matrix, numerical_rank,
                         nv_closability_criterion)
-from .balance import balance_nearby, perturb_unbalanced, realize_triangle
+from .balance import balance_nearby, realize_triangle
 from .interaction import (InteractionTable, build_table, load_or_build,
-                          ground_state_beta, upsilon_direct)
+                          ground_state_beta)
 from .assembly import (Assembly, SubNetwork, verify_assembly,
                        coordinate_quantization, solve_master, generate_cloud,
-                       neighbor_graph, save_cloud, load_cloud, chain_matrix,
-                       chain_matrix_inverse, chain_correct,
+                       neighbor_graph, save_cloud, load_cloud,
                        diagnostic_chain_cloud, save_assembly, load_assembly)
 from .fields import (Field, FieldWindow, residual, residual_norms,
-                     project_force, predicted_force, pohozaev_defect, refine)
+                     project_force, predicted_force)
 from .builders import (assembly_catalog, assembly_names, example_5_1,
                        example_5_2, n_c_assembly, n_v_assembly)

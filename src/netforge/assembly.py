@@ -1,7 +1,6 @@
 """Sub-network assemblies: verification of the placement conditions
 (i)-(vii), edge quantization, the coupled master solve, point-cloud
-generation with signs, closest-neighbor bands, and the chain correction
-algebra."""
+generation with signs, and closest-neighbor bands."""
 
 import cmath
 import json
@@ -165,27 +164,24 @@ def _check_embedded_with_rays(asm):
     return True, ""
 
 
-def _pull_sum(asm, p, r):
-    out = 0j
-    for q, rq in asm.subs[p].anchors.items():
-        if rq == r:
-            d = asm.master.vertices[q] - asm.master.vertices[p]
-            out += asm.master.weights[edge_key(p, q)] * d / abs(d)
-    return out
-
-
 def _check_balance(asm, anchored):
     """Force balance at sub vertices; `anchored` selects which half of the
-    condition pair is being checked."""
+    condition pair is being checked. An anchoring vertex also carries the
+    unit pulls of its master edges, weighted by the master weights."""
     worst = 0.0
     where = None
+    master = asm.master
     for p, sub in asm.subs.items():
         F = forces(sub.net)
-        anchor_set = set(sub.anchors.values())
+        pull = {}                       # anchoring vertex -> master pulls
+        for q, r in sub.anchors.items():
+            d = master.vertices[q] - master.vertices[p]
+            w = master.weights[edge_key(p, q)]
+            pull[r] = pull.get(r, 0j) + w * d / abs(d)
         for r in sub.net.ids:
-            if (r in anchor_set) != anchored:
+            if (r in pull) != anchored:
                 continue
-            defect = abs(F[r] + (_pull_sum(asm, p, r) if anchored else 0))
+            defect = abs(F[r] + pull.get(r, 0j))
             if defect > worst:
                 worst, where = defect, (p, r)
     ok = worst <= 1e-9
@@ -431,8 +427,8 @@ def solve_master(asm, kappa, ell, table, f=None, tol=1e-11, skip_verify=False,
             raise SolverError(f"assembly conditions fail: {report.failing()}")
     fun, jac, x0, finish = _master_system(asm, kappa, ell, table, f, m_map)
     try:
-        x, info = damped_newton(fun, x0, jac=jac, tol=tol, scale=1.0,
-                                maxiter=200, max_step=0.25)
+        x, info = damped_newton(fun, x0, jac=jac, tol=tol, maxiter=200,
+                                max_step=0.25)
     except ValueError as exc:    # a trial weight left the alpha_ell table
         raise SolverError(f"master solve failed: {exc}") from exc
     if not info.converged:
@@ -980,47 +976,6 @@ def neighbor_graph(config, C=None, delta=0.05):
     mismatches = list(zip(off.tolist(), expect[off].tolist(),
                           got[off].tolist()))
     return NeighborReport(ij[near], violations, mismatches, len(z))
-
-
-# --- chain correction --------------------------------------------------------
-
-def chain_matrix(m):
-    T = np.zeros((m, m))
-    for i in range(m):
-        T[i, i] = 2.0
-        if i:
-            T[i, i - 1] = T[i - 1, i] = -1.0
-    return T
-
-
-def chain_matrix_inverse(m):
-    """Closed-form inverse of the (2, -1) tridiagonal matrix:
-    (T^-1)_ij = min(i, j) - i j/(m+1) with 1-based indices."""
-    if m < 1:
-        raise ValueError("chain size must be >= 1")
-    i = np.arange(1, m + 1)
-    return np.minimum.outer(i, i) - np.outer(i, i) / (m + 1)
-
-
-def chain_correct(residuals, e_pq, spacing, table):
-    """First-order chain offsets from interior residual forces.
-
-    The longitudinal response divides by Upsilon'(spacing) and the
-    transverse one by Upsilon(spacing)/spacing; boundary offsets are
-    implicitly zero."""
-    g = np.asarray(residuals, dtype=complex)
-    mlen = len(g)
-    if mlen == 0:
-        return np.zeros(0, dtype=complex)
-    Tinv = chain_matrix_inverse(mlen)
-    ec = complex(e_pq)
-    gl = (g * ec.conjugate()).real
-    gt = (g * ec.conjugate()).imag
-    up = float(table.upsilon_prime(spacing))
-    u = float(table.upsilon(spacing))
-    along = Tinv @ (gl / up)
-    trans = Tinv @ (gt * spacing / u)
-    return along * ec + trans * (1j * ec)
 
 
 def diagnostic_chain_cloud(table, ell, m, a=1.0, eta0=1):

@@ -1,5 +1,5 @@
-"""Perturbation solvers: re-balance moved networks, realize prescribed
-forces and lengths, and the explicit triangle realization."""
+"""Perturbation solvers: re-balance moved networks, and the explicit
+triangle realization."""
 
 import cmath
 import math
@@ -9,6 +9,7 @@ import numpy as np
 
 from .linearize import augmented_df_a, certify
 from .network import bond_forces, total_weight
+# damped_newton is unused here: perfbench/spans.py patches it by name
 from .solvers import SolverError, damped_newton
 
 
@@ -67,64 +68,6 @@ def balance_nearby(net, phi, tol=1e-11):
     res = _force_defect(net, z, sol[:m], e, t)
     return PerturbationResult(dict(phi), dict(zip(net.edges, sol[:m])),
                               e, t, res, 1)
-
-
-def _pack_unbalanced(net, f, alpha_of, tol):
-    """Shared driver for the unbalanced perturbation solvers.
-
-    alpha_of(weights array) -> per-edge alpha array (may depend on the
-    solved weights).
-    """
-    cert = certify(net)
-    if cert.balanced or not cert.flexible:
-        raise SolverError("needs an unbalanced flexible network")
-    n, m = net.n, net.m
-    first, second = net.ends
-    z0 = net.positions()
-    a0 = net.weight_array()
-    F0 = bond_forces(n, first, second, z0[second] - z0[first], a0)
-    fv = np.array([complex(f.get(v, 0)) if f else 0j for v in net.ids])
-
-    def unpack(x):
-        z = x[0:2 * n:2] + 1j * x[1:2 * n:2]
-        return z, x[2 * n:2 * n + m], complex(x[2 * n + m], x[2 * n + m + 1])
-
-    def fun(x):
-        z, w, e = unpack(x)
-        d = z[second] - z[first]
-        g = bond_forces(n, first, second, d, w) - F0 - fv - e
-        bary = np.sum(z - z0)
-        return np.concatenate([g.view(float), np.abs(d) - (1.0 - alpha_of(w)),
-                               [bary.real, bary.imag]])
-
-    x0 = np.concatenate([np.column_stack([z0.real, z0.imag]).ravel(), a0,
-                         [0.0, 0.0]])
-    x, info = damped_newton(fun, x0, tol=tol, scale=1.0)
-    if not info.converged:
-        raise SolverError(f"Newton stalled: residual {info.residual:.3e} "
-                          f"at equation {info.worst_equation}")
-    z, w, e = unpack(x)
-    return PerturbationResult(dict(zip(net.ids, z.tolist())),
-                              dict(zip(net.edges, w.tolist())),
-                              e, 0.0, info.residual, info.iterations)
-
-
-def perturb_unbalanced(net, f=None, alpha=None, tol=1e-11):
-    """Realize shifted forces f_p + e and edge lengths 1 - alpha_[p,q] on an
-    unbalanced flexible unitary network, with barycenter gauge."""
-    al = np.array([float(alpha.get(e, 0)) if alpha else 0.0
-                   for e in net.edges])
-    return _pack_unbalanced(net, f, lambda w: al, tol)
-
-
-def perturb_unbalanced_coupled(net, f, ell, table=None, tol=1e-11):
-    """Same but the length corrections are alpha_ell of the solved weights
-    themselves. ell = inf runs the uncoupled alpha = 0 limit."""
-    if math.isinf(ell):
-        return _pack_unbalanced(net, f, lambda w: np.zeros(len(w)), tol)
-    if table is None:
-        raise SolverError("finite ell needs an interaction table")
-    return _pack_unbalanced(net, f, lambda w: table.alpha_ell(w, ell), tol)
 
 
 ZETA = cmath.exp(2j * math.pi / 3)

@@ -163,9 +163,9 @@ def build_parser():
 
     g = sub.add_parser("configure", help="assembly -> point cloud CSV")
     g.add_argument("--assembly", help="assembly JSON file")
-    _add_catalog_flags(g, "assembly catalog name; n_v and example_5_1 "
-                          "--k 3 are negative examples that exit 3 "
-                          "(vi_ray_separation) at every kappa")
+    _add_catalog_flags(g, "assembly catalog name; n_v, and example_5_1 "
+                          "with --k 3 to 6, are negative examples that "
+                          "exit 3 (vi_ray_separation) at every kappa")
     g.add_argument("--ell", type=_ell, default=10.0)
     g.add_argument("--kappa", type=_kappa, default=64.0)
     g.add_argument("--delta", type=float, default=0.05,

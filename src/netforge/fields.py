@@ -1,6 +1,5 @@
 """Field-level diagnostics: the superposed bump field, its algebraic
-residual, projected forces against the interaction expansion, Pohozaev
-consistency integrals, and an experimental discrete Newton refinement.
+residual, and projected forces against the interaction expansion.
 
 All diagnostics run on per-point windows; global grids at realistic
 configuration scales would be far too large.
@@ -9,12 +8,11 @@ configuration scales would be far too large.
 import cmath
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .interaction import f, fprime
-from .solvers import damped_newton
+from .interaction import f
 
 # A window sums the bumps within half_width + ell + REACH of its centre. A
 # bump beyond that pulls on one at the centre with at most about
@@ -237,71 +235,3 @@ def predicted_force(config, z_index, table, band=0.5):
         if abs(d - ell) <= band:
             out += eta * sk * float(table.upsilon(d)) * (zk - z) / d
     return out
-
-
-def pohozaev_defect(window, u, fvals, xi, decay_tol=1e-5):
-    """Integral of <Xi, grad u> f over the window for a Killing field Xi
-    ("dx", "dy", or "rot" about the window center). A numeric zero is the
-    consistency the forcing must satisfy.
-    """
-    X, Y = window.mesh()
-    h = window.spacing
-    edge = max(float(np.max(np.abs(u[0, :]))), float(np.max(np.abs(u[-1, :]))),
-               float(np.max(np.abs(u[:, 0]))), float(np.max(np.abs(u[:, -1]))),
-               float(np.max(np.abs(fvals[0, :]))),
-               float(np.max(np.abs(fvals[-1, :]))),
-               float(np.max(np.abs(fvals[:, 0]))),
-               float(np.max(np.abs(fvals[:, -1]))))
-    if edge > decay_tol:
-        raise ValueError(f"insufficient decay at window boundary ({edge:.2e})")
-    ux, uy = np.gradient(u, h, h)
-    if xi == "dx":
-        integrand = ux * fvals
-    elif xi == "dy":
-        integrand = uy * fvals
-    elif xi == "rot":
-        integrand = (-(Y - window.center.imag) * ux
-                     + (X - window.center.real) * uy) * fvals
-    else:
-        raise ValueError(f"unknown Killing field {xi!r}")
-    return float(np.trapezoid(np.trapezoid(integrand, dx=h), dx=h))
-
-
-@dataclass
-class RefineResult:
-    start: Field                  # the superposed field Newton starts from
-    u: np.ndarray
-    residual: float
-    iterations: int
-    converged: bool
-    drift: float                  # sup |u - initial guess|
-    history: list = field(default_factory=list)
-
-
-def refine(config, table, half_width, spacing=0.1, tol=1e-10, maxiter=40,
-           center=0j):
-    """Damped Newton (solvers.damped_newton) on the 5-point discretization
-    of the field equation with zero boundary data, started from the
-    superposed field.
-    Experimental: configurations without a nearby true solution drift or
-    stall, which is reported rather than raised."""
-    from scipy.sparse import diags, eye, kron
-    start = residual(config, FieldWindow(center, half_width, spacing), table)
-    ni = start.u.shape[0] - 2
-    h = spacing
-    main = -2.0 * np.ones(ni) / h ** 2
-    off = np.ones(ni - 1) / h ** 2
-    D2 = diags([off, main, off], [-1, 0, 1], format="csc")
-    I = eye(ni, format="csc")
-    A = (kron(D2, I) + kron(I, D2) - eye(ni * ni, format="csc")).tocsc()
-    u0 = start.u[1:-1, 1:-1].ravel()
-    u, info = damped_newton(lambda v: A @ v + f(v), u0,
-                            jac=lambda v: A + diags(fprime(v), 0,
-                                                    format="csc"),
-                            tol=tol, maxiter=maxiter)
-    full = np.zeros_like(start.u)
-    full[1:-1, 1:-1] = u.reshape(ni, ni)
-    drift = float(np.max(np.abs(u - u0)))
-    return RefineResult(start, full, info.residual, info.iterations,
-                        info.converged, drift, info.history)
-

@@ -351,9 +351,9 @@ class InteractionTable:
         self._ls_inv = _Cubic(self.ln_ups[::-1], self.s[::-1])
 
     def _upsilon_quadrature(self, s):
-        """Upsilon at the lengths `s` on the grid of upsilon_direct: the
-        Graf closed form from S_CLOSED on, the quadrature over G's support
-        below it."""
+        """Upsilon at the lengths `s` on the QUAD_N-point grid of side
+        2 QUAD_EXTENT: the Graf closed form from S_CLOSED on, the
+        quadrature over G's support below it."""
         from scipy.special import i1, k1
         X, Y, GW = _interaction_kernel(self, (1.0, 0.0), QUAD_N, QUAD_EXTENT)
         R = np.hypot(X, Y)
@@ -494,14 +494,6 @@ def _interaction_kernel(table, e, n, extent):
     G = fprime(table.u0_at(R)) * table.du0_at(R) * proj
     w = _simpson_weights(n, h)
     return X, Y, G * np.outer(w, w)
-
-
-def upsilon_direct(table, s, e=(1.0, 0.0), n=QUAD_N, extent=QUAD_EXTENT):
-    """Direct quadrature of -integral u0(|z - s e|) G(z) dz, for isotropy
-    and grid-refinement checks."""
-    X, Y, GW = _interaction_kernel(table, e, n, extent)
-    shifted = table.u0_at(np.hypot(X - s * e[0], Y - s * e[1]))
-    return -float(np.sum(shifted * GW))
 
 
 def build_table(bracket=(1.5, 3.0)):

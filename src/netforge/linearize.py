@@ -195,50 +195,6 @@ def certify(net, tol=1e-9, rank_safety=RANK_SAFETY):
     )
 
 
-def _cycle_order(net):
-    """Vertex ids of a simple cycle network, in traversal order."""
-    if net.m != net.n or net.n < 3:
-        raise ValueError("not a cycle: m must equal n >= 3")
-    adj = {vid: [] for vid in net.ids}
-    for (u, v) in net.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    if any(len(nb) != 2 for nb in adj.values()) or not is_connected(net):
-        raise ValueError("not a cycle: every vertex needs degree 2")
-    order = [net.ids[0]]
-    prev = None
-    while True:
-        cur = order[-1]
-        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-        if nxt == order[0]:
-            break
-        order.append(nxt)
-        prev = cur
-    return order
-
-
-def polygon_flexibility_criterion(net, tol=1e-9):
-    """Independence test of the two side-weighted direction sums A and B.
-
-    A = sum Re(z_{j+1}-z_j)/a_j (z_{j+1}-z_j), B likewise with Im; the
-    polygon is flexible iff A and B are R-linearly independent.
-    """
-    order = _cycle_order(net)
-    from .network import edge_key
-    A = 0j
-    B = 0j
-    scale = 0.0
-    for j, u in enumerate(order):
-        v = order[(j + 1) % len(order)]
-        d = net.vertices[v] - net.vertices[u]
-        a = net.weights[edge_key(u, v)]
-        A += d.real / a * d
-        B += d.imag / a * d
-        scale += abs(d) ** 2 / abs(a)
-    wedge = A.real * B.imag - A.imag * B.real
-    return abs(wedge) > tol * max(scale, 1e-300) ** 2
-
-
 def nv_closability_criterion(theta):
     """sin^2 t ln(2 sin t) + cos^2 t ln(2 cos t); closable iff nonzero."""
     if not 0 < theta < math.pi / 2:

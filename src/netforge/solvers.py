@@ -1,5 +1,5 @@
-"""Damped Newton iteration for nonlinear systems with dense or sparse
-Jacobians."""
+"""Damped Newton iteration for square nonlinear systems with an analytic
+Jacobian."""
 
 from dataclasses import dataclass, field
 
@@ -17,34 +17,18 @@ class NewtonInfo:
     converged: bool
     worst_equation: int = -1
     history: list = field(default_factory=list)  # max|f| per accepted step
-    fun_evals: int = 0           # calls of fun, finite differences included
-    jac_evals: int = 0           # Jacobians formed, analytic or FD
+    fun_evals: int = 0           # calls of fun
+    jac_evals: int = 0           # Jacobians formed
 
 
-def fd_jacobian(fun, x, f0=None, step=1e-7):
-    if f0 is None:
-        f0 = fun(x)
-    n = len(x)
-    J = np.empty((len(f0), n))
-    for i in range(n):
-        h = step * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xp[i] += h
-        J[:, i] = (fun(xp) - f0) / h
-    return J
-
-
-def damped_newton(fun, x0, jac=None, tol=1e-11, scale=1.0, maxiter=100,
-                  fd_step=1e-7, max_step=None):
+def damped_newton(fun, x0, jac, tol=1e-11, maxiter=100, max_step=None):
     """Solve fun(x) = 0 by Newton with backtracking line search.
 
-    Convergence: max|fun(x)| < tol * scale. Returns (x, NewtonInfo); its
-    history holds max|fun| at the start and after each accepted step.
-    A sparse Jacobian from `jac` is factorised with splu, a dense one
-    solved directly (least squares when it is not square); without `jac`
-    each step takes a forward-difference Jacobian, len(x) more calls of
-    fun. max_step caps the sup-norm of each Newton step, which keeps the
-    iteration inside the basin when the Jacobian has a soft mode.
+    Convergence: max|fun(x)| < tol. Returns (x, NewtonInfo); its history
+    holds max|fun| at the start and after each accepted step. Each step
+    solves the square system jac(x) dx = -fun(x). max_step caps the
+    sup-norm of each Newton step, which keeps the iteration inside the
+    basin when the Jacobian has a soft mode.
     """
     x = np.asarray(x0, dtype=float).copy()
     f = fun(x)
@@ -52,22 +36,12 @@ def damped_newton(fun, x0, jac=None, tol=1e-11, scale=1.0, maxiter=100,
     best = float(np.max(np.abs(f))) if f.size else 0.0
     history = [best]
     it = 0
-    while best >= tol * scale and it < maxiter:
-        if jac is not None:
-            J = jac(x)
-        else:
-            J = fd_jacobian(fun, x, f, fd_step)
-            fun_evals += len(x)
+    while best >= tol and it < maxiter:
+        J = jac(x)
         jac_evals += 1
         try:
-            if not isinstance(J, np.ndarray):     # a scipy.sparse matrix
-                from scipy.sparse.linalg import splu
-                dx = splu(J.tocsc()).solve(-f)
-            elif J.shape[0] == J.shape[1]:
-                dx = np.linalg.solve(J, -f)
-            else:
-                dx = np.linalg.lstsq(J, -f, rcond=None)[0]
-        except (np.linalg.LinAlgError, RuntimeError) as exc:
+            dx = np.linalg.solve(J, -f)
+        except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular Jacobian at iteration {it}") from exc
         frac = 1.0
         if max_step is not None:
@@ -82,7 +56,7 @@ def damped_newton(fun, x0, jac=None, tol=1e-11, scale=1.0, maxiter=100,
             ft = fun(xt)
             fun_evals += 1
             if np.max(np.abs(ft)) < best * (1.0 - 0.25 * lam * frac) or \
-               np.max(np.abs(ft)) < tol * scale:
+               np.max(np.abs(ft)) < tol:
                 x, f = xt, ft
                 best = float(np.max(np.abs(f)))
                 history.append(best)
@@ -93,7 +67,7 @@ def damped_newton(fun, x0, jac=None, tol=1e-11, scale=1.0, maxiter=100,
             return x, NewtonInfo(best, it, False, int(np.argmax(np.abs(f))),
                                  history, fun_evals, jac_evals)
         it += 1
-    converged = best < tol * scale
+    converged = best < tol
     worst = int(np.argmax(np.abs(f))) if f.size else -1
     return x, NewtonInfo(best, it, converged, worst, history, fun_evals,
                          jac_evals)

@@ -75,3 +75,18 @@ def random_network(rng, n=None):
         if k not in weights:
             weights[k] = float(rng.uniform(0.2, 3.0) * rng.choice([-1, 1]))
     return Network(verts, weights)
+
+
+def fd_jacobian(fun, x, f0=None, step=1e-7):
+    """Forward-difference Jacobian of fun at x, a reference for analytic
+    Jacobians."""
+    if f0 is None:
+        f0 = fun(x)
+    n = len(x)
+    J = np.empty((len(f0), n))
+    for i in range(n):
+        h = step * max(1.0, abs(x[i]))
+        xp = x.copy()
+        xp[i] += h
+        J[:, i] = (fun(xp) - f0) / h
+    return J

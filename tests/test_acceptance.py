@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from conftest import random_network
-from netforge.assembly import (chain_matrix, chain_matrix_inverse,
-                               generate_cloud, solve_master)
+from netforge.assembly import generate_cloud, solve_master
 from netforge.balance import balance_nearby
 from netforge.builders import example_5_1
 from netforge.catalog import catalog, n_c, n_v, n_y, polygon_center, triangle
-from netforge.fields import FieldWindow, project_force, refine, residual
+from netforge.fields import FieldWindow, project_force, residual
 from netforge.linearize import (adjointness_defect, build_differentials,
                                 certify, nv_closability_criterion)
 from netforge.network import forces, total_weight
@@ -165,13 +164,6 @@ def test_criterion_7_projection_expansion(table, example_run):
         assert abs(proj - pred) < 0.1 * abs(pred), pt.provenance
 
 
-def test_criterion_8_chain_algebra():
-    for m in range(1, 51):
-        err = np.max(np.abs(chain_matrix(m) @ chain_matrix_inverse(m)
-                            - np.eye(m)))
-        assert err < 1e-12
-
-
 def test_criterion_9_solvers(table):
     # re-balance a perturbed polygon with center
     net = polygon_center(5)
@@ -217,9 +209,3 @@ def test_criterion_10_end_to_end(tmp_path, table, cache_env):
         assert r2.returncode == 0, (name, r2.stderr)
         obj = json.loads(diag.read_text())
         assert obj["gate"]["pass"] is True
-    # discrete Newton refinement of a single bump
-    from netforge.assembly import Configuration
-    cfg = Configuration([0j], [1], ["a"], 10.0)
-    out = refine(cfg, table, 12.0, spacing=0.1)
-    assert out.converged
-    assert out.residual < 1e-10

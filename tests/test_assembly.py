@@ -6,20 +6,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
+from conftest import fd_jacobian
 from netforge.assembly import (GEOM_TOL, Assembly, CloudIndex,
                                Configuration, SubNetwork,
                                _check_ray_separation, _master_system,
-                               _null_space, _rays, chain_correct,
-                               chain_matrix, chain_matrix_inverse,
-                               coordinate_quantization,
+                               _null_space, _rays, coordinate_quantization,
                                diagnostic_chain_cloud, generate_cloud,
                                load_assembly, load_cloud, neighbor_graph,
                                save_assembly, save_cloud,
                                singleton_at, solve_master, verify_assembly)
 from netforge.builders import example_5_1, example_5_2, n_c_assembly
-from netforge.catalog import polygon_center, regular_polygon
-from netforge.network import Network, NetworkError
-from netforge.solvers import SolverError, damped_newton, fd_jacobian
+from netforge.catalog import polygon_center
+from netforge.network import Network, NetworkError, edge_key
+from netforge.solvers import SolverError, damped_newton
 
 
 def test_verify_catalog_assemblies():
@@ -40,6 +39,37 @@ def test_verify_rejects_shifted_barycenter():
     report = verify_assembly(asm)
     assert not report.ok
     assert "i_barycenter" in report.failing()
+
+
+def test_verify_names_the_vertex_out_of_interior_balance():
+    # no sub of example_5_1(7) has a vertex off its anchors, so give the
+    # heptagon at 'c' a centre 'o' on seven equal spokes, balanced by
+    # lighter sides; the spokes are not unit, so v_min_distance fails
+    asm = example_5_1(7)
+    sub = asm.subs["c"]
+    spoke = 0.5
+    side = 1.0 - spoke / (2.0 * math.sin(math.pi / 7))
+    weights = {e: side for e in sub.net.weights}
+    weights.update({edge_key("o", r): spoke for r in sub.net.ids})
+    asm.subs["c"] = SubNetwork(Network({**sub.net.vertices, "o": 0j},
+                                       weights), dict(sub.anchors))
+    assert verify_assembly(asm).failing() == ["v_min_distance"]
+    asm.subs["c"].net.weights[edge_key("o", "z2")] *= 1.5
+    report = verify_assembly(asm)
+    assert "iii_interior_balance" in report.failing()
+    assert report.details["iii_interior_balance"] == \
+        "max defect 2.50e-01 at ('c', 'o')"
+
+
+def test_verify_names_the_vertex_out_of_anchor_balance():
+    # a master weight pulls on the anchoring vertex at both of its ends
+    asm = example_5_1(7)
+    asm.master.weights[edge_key("c", "v3")] *= 1.5
+    report = verify_assembly(asm)
+    assert report.failing() == ["iv_anchor_balance"]
+    msg = report.details["iv_anchor_balance"]
+    assert msg.startswith("max defect 4.34e-01 at ")
+    assert msg.endswith(("at ('c', 'z3')", "at ('v3', 'o')"))
 
 
 def test_coordinate_quantization_example(table):
@@ -184,7 +214,8 @@ def test_master_solve_same_with_fd_jacobian(table, asm, kappa):
     fun, jac, x0, finish = _master_system(asm, kappa, 10.0, table)
     opts = dict(tol=1e-11, maxiter=200, max_step=0.25)
     x, info = damped_newton(fun, x0, jac=jac, **opts)
-    x_fd, info_fd = damped_newton(fun, x0, **opts)
+    x_fd, info_fd = damped_newton(fun, x0, jac=lambda x: fd_jacobian(fun, x),
+                                  **opts)
     assert info.converged and info_fd.converged
     assert info.iterations == info_fd.iterations
     res, res_fd = finish(x, info), finish(x_fd, info_fd)
@@ -616,36 +647,6 @@ def test_ray_separation_names_the_first_violation_in_loop_order():
     for a, message in cases:
         assert _check_ray_separation(a) == (False, message)
         assert _check_ray_separation_loop(a) == (False, message)
-
-
-def test_chain_matrix_inverse_closed_form():
-    for m in (1, 2, 3, 10, 50):
-        T = chain_matrix(m)
-        Tinv = chain_matrix_inverse(m)
-        assert np.max(np.abs(T @ Tinv - np.eye(m))) < 1e-12
-    assert chain_matrix_inverse(1)[0, 0] == pytest.approx(0.5)
-    col = chain_matrix_inverse(3)[:, 1]
-    assert np.allclose(col, [0.5, 1.0, 0.5])
-    with pytest.raises(ValueError):
-        chain_matrix_inverse(0)
-
-
-def test_chain_correct_inverts_response(table):
-    # residuals generated by known offsets come back as those offsets
-    m = 7
-    rng = np.random.default_rng(5)
-    ell = 10.0
-    ec = np.exp(0.3j)
-    xl = rng.normal(0, 1, m)
-    xt = rng.normal(0, 1, m)
-    T = chain_matrix(m)
-    up = float(table.upsilon_prime(ell))
-    u = float(table.upsilon(ell))
-    g = (T @ xl) * up * ec + (T @ xt) * (u / ell) * (1j * ec)
-    out = chain_correct(g, ec, ell, table)
-    assert np.max(np.abs((out * np.conj(ec)).real - xl)) < 1e-10
-    assert np.max(np.abs((out * np.conj(ec)).imag - xt)) < 1e-10
-    assert chain_correct([], ec, ell, table).size == 0
 
 
 def test_singleton_anchors():

@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from netforge.balance import (balance_nearby, perturb_unbalanced,
-                              perturb_unbalanced_coupled, realize_triangle)
-from netforge.catalog import chain, polygon_center, regular_polygon, triangle
-from netforge.network import edge_key, forces, lengths
+from netforge.balance import balance_nearby, realize_triangle
+from netforge.catalog import polygon_center, regular_polygon, triangle
+from netforge.network import forces
 from netforge.solvers import SolverError
 
 
@@ -87,43 +86,3 @@ def test_realize_triangle_degenerate_direction():
     F = forces(triangle(theta, w))
     for j in range(3):
         assert abs(F[f"z{j}"] - f[j]) < 1e-8
-
-
-def test_perturb_unbalanced_realizes_targets():
-    net = chain(3)
-    f = {"z0": 0.02 + 0.01j}
-    alpha = {e: 0.015 for e in net.edges}
-    res = perturb_unbalanced(net, f=f, alpha=alpha)
-    moved = net.with_positions(res.phi).with_weights(res.a_tilde)
-    F0 = forces(net)
-    F = forces(moved)
-    for v in net.ids:
-        target = F0[v] + f.get(v, 0j) + res.e
-        assert abs(F[v] - target) < 1e-10
-    for e, L in lengths(moved).items():
-        assert abs(L - (1.0 - alpha[e])) < 1e-10
-    # barycenter gauge
-    bary = sum(res.phi[v] - net.vertices[v] for v in net.ids)
-    assert abs(bary) < 1e-10
-
-
-def test_perturb_unbalanced_coupled_infinite_ell():
-    net = chain(3)
-    res = perturb_unbalanced_coupled(net, {"z0": 0.01}, math.inf)
-    moved = net.with_positions(res.phi).with_weights(res.a_tilde)
-    for e, L in lengths(moved).items():
-        assert abs(L - 1.0) < 1e-10
-
-
-def test_perturb_unbalanced_coupled_needs_table():
-    with pytest.raises(SolverError):
-        perturb_unbalanced_coupled(chain(3), {"z0": 0.01}, 10.0, table=None)
-
-
-def test_perturb_unbalanced_coupled_lengths(table):
-    net = chain(3)
-    res = perturb_unbalanced_coupled(net, {"z0": 0.01}, 10.0, table=table)
-    moved = net.with_positions(res.phi).with_weights(res.a_tilde)
-    for e, L in lengths(moved).items():
-        expect = 1.0 - table.alpha_ell(res.a_tilde[e], 10.0)
-        assert abs(L - expect) < 1e-10

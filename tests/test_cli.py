@@ -94,9 +94,11 @@ def test_certify_network_without_edges(tmp_path, cache_env, net, code,
 
 
 def test_configure_failing_assembly_exits_3(tmp_path, cache_env):
-    r = run_cli(["configure", "--catalog", "n_v"], tmp_path, cache_env)
-    assert r.returncode == 3, r.stderr
-    assert "vi_ray_separation" in r.stderr
+    # example_5_1 fails ray separation at every k from 3 to 6
+    for flags in (["n_v"], ["example_5_1", "--k", "6"]):
+        r = run_cli(["configure", "--catalog"] + flags, tmp_path, cache_env)
+        assert r.returncode == 3, (flags, r.stderr)
+        assert "vi_ray_separation" in r.stderr
 
 
 def test_configure_at_shortest_length_exits_1(tmp_path, cache_env):

@@ -16,8 +16,8 @@ from netforge.builders import example_5_1, n_c_assembly
 from netforge.fields import (DELTA_DEFAULT, REACH, FieldWindow,
                              _window_points,
                              cutoff_profile, delta_limit,
-                             pohozaev_defect, predicted_force,
-                             project_force, refine, residual, residual_norms)
+                             predicted_force, project_force, residual,
+                             residual_norms)
 from netforge.interaction import f
 
 
@@ -470,27 +470,3 @@ def test_field_is_a_value(table):
     for a in (field.u, field.E, field.weight):
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
-
-
-def test_pohozaev_defect(table):
-    # radially symmetric single bump: every Killing pairing vanishes
-    cfg = Configuration([0j], [1], ["a"], 10.0)
-    w = residual(cfg, FieldWindow(0j, 12.0, 0.1), table)
-    fvals = f(w.u)
-    for xi in ("dx", "dy", "rot"):
-        val = pohozaev_defect(w.window, w.u, fvals, xi, decay_tol=1e-4)
-        assert abs(val) < 1e-10
-    with pytest.raises(ValueError):
-        pohozaev_defect(w.window, w.u, fvals, "scale")
-    with pytest.raises(ValueError):
-        pohozaev_defect(w.window, w.u, fvals, "dx", decay_tol=1e-30)
-
-
-def test_refine_single_bump(table):
-    cfg = Configuration([0j], [1], ["a"], 10.0)
-    out = refine(cfg, table, 12.0, spacing=0.1)
-    assert out.converged
-    assert out.residual < 1e-10
-    # the superposed start is the discrete solution up to truncation
-    assert out.drift < 0.05
-

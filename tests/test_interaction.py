@@ -13,9 +13,10 @@ from scipy.optimize import brentq
 from scipy.special import k0, k1
 
 from conftest import CACHE_DIR, scipy_splines
-from netforge.interaction import (S_CLOSED, S_MAX, S_MIN, InteractionTable,
-                                  _Cubic, _gtsv, _not_a_knot, build_table, f,
-                                  fprime, table_cache_path, upsilon_direct)
+from netforge.interaction import (QUAD_EXTENT, QUAD_N, S_CLOSED, S_MAX,
+                                  S_MIN, InteractionTable, _Cubic, _gtsv,
+                                  _interaction_kernel, _not_a_knot,
+                                  build_table, f, fprime, table_cache_path)
 
 # frozen reference values for the cubic nonlinearity
 U0_AT_ZERO = 2.206200864681313
@@ -312,6 +313,14 @@ def test_upsilon_positive_decreasing(table):
     v = table.upsilon(s)
     assert np.all(v > 0)
     assert np.all(np.diff(v) < 0)
+
+
+def upsilon_direct(table, s, e=(1.0, 0.0), n=QUAD_N, extent=QUAD_EXTENT):
+    """Direct quadrature of -integral u0(|z - s e|) G(z) dz, for isotropy
+    and grid-refinement checks."""
+    X, Y, GW = _interaction_kernel(table, e, n, extent)
+    shifted = table.u0_at(np.hypot(X - s * e[0], Y - s * e[1]))
+    return -float(np.sum(shifted * GW))
 
 
 def test_upsilon_isotropy(table):

@@ -10,9 +10,8 @@ from netforge.catalog import catalog, catalog_names, polygon_center, triangle
 from netforge.linearize import (adjointness_defect, augmented_df_a,
                                 build_differentials, certify, lambda_matrix,
                                 lambda_ring_matrix, numerical_rank,
-                                nv_closability_criterion,
-                                polygon_flexibility_criterion)
-from netforge.network import forces, total_weight
+                                nv_closability_criterion)
+from netforge.network import edge_key, forces, is_connected, total_weight
 
 
 def _torque(net):
@@ -109,6 +108,50 @@ def test_certify_json_roundtrip():
     obj = json.loads(cert.to_json())
     assert obj["flexible"] is True
     assert obj["closable"] is True
+
+
+# the side-sum criterion for polygons, a reference for certify's verdict
+def _cycle_order(net):
+    """Vertex ids of a simple cycle network, in traversal order."""
+    if net.m != net.n or net.n < 3:
+        raise ValueError("not a cycle: m must equal n >= 3")
+    adj = {vid: [] for vid in net.ids}
+    for (u, v) in net.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    if any(len(nb) != 2 for nb in adj.values()) or not is_connected(net):
+        raise ValueError("not a cycle: every vertex needs degree 2")
+    order = [net.ids[0]]
+    prev = None
+    while True:
+        cur = order[-1]
+        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+        if nxt == order[0]:
+            break
+        order.append(nxt)
+        prev = cur
+    return order
+
+
+def polygon_flexibility_criterion(net, tol=1e-9):
+    """Independence test of the two side-weighted direction sums A and B.
+
+    A = sum Re(z_{j+1}-z_j)/a_j (z_{j+1}-z_j), B likewise with Im; the
+    polygon is flexible iff A and B are R-linearly independent.
+    """
+    order = _cycle_order(net)
+    A = 0j
+    B = 0j
+    scale = 0.0
+    for j, u in enumerate(order):
+        v = order[(j + 1) % len(order)]
+        d = net.vertices[v] - net.vertices[u]
+        a = net.weights[edge_key(u, v)]
+        A += d.real / a * d
+        B += d.imag / a * d
+        scale += abs(d) ** 2 / abs(a)
+    wedge = A.real * B.imag - A.imag * B.real
+    return abs(wedge) > tol * max(scale, 1e-300) ** 2
 
 
 def test_polygon_flexibility_criterion_matches_certify():

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
-from scipy.sparse import csc_matrix, diags
 
-from netforge.solvers import SolverError, damped_newton, fd_jacobian
+from conftest import fd_jacobian
+from netforge.solvers import SolverError, damped_newton
+
+
+def _jac_x_squared(x):
+    return np.array([[2.0 * x[0]]])
 
 
 def test_scalar_root():
     x, info = damped_newton(lambda x: np.array([x[0] ** 2 - 4.0]),
-                            np.array([3.0]))
+                            np.array([3.0]), jac=_jac_x_squared)
     assert info.converged
     assert abs(x[0] - 2.0) < 1e-10
 
@@ -37,8 +41,9 @@ def test_fd_jacobian_matches_analytic():
 
 def test_evaluation_counts():
     # every step of a linear system is taken in full: one trial point per
-    # step after the start, and with finite differences one more call
-    # per unknown (their rounding leaves a second step to take)
+    # step after the start. The calls of fun inside a finite-difference
+    # Jacobian are the caller's and not counted; their rounding leaves a
+    # second step to take
     A = np.array([[2.0, 1.0], [0.5, 3.0]])
     b = np.array([1.0, -2.0])
 
@@ -47,19 +52,10 @@ def test_evaluation_counts():
 
     _, info = damped_newton(fun, np.zeros(2), jac=lambda x: A)
     assert (info.iterations, info.jac_evals, info.fun_evals) == (1, 1, 2)
-    _, info = damped_newton(fun, np.zeros(2))
-    assert info.converged and info.jac_evals == info.iterations
-    assert info.fun_evals == 1 + info.iterations * (2 + 1)
-
-
-def test_overdetermined_least_squares():
-    # three consistent equations in two unknowns
-    def fun(x):
-        return np.array([x[0] - 1.0, x[1] - 2.0, x[0] + x[1] - 3.0])
-
-    x, info = damped_newton(fun, np.zeros(2))
-    assert info.converged
-    assert np.allclose(x, [1.0, 2.0], atol=1e-10)
+    _, info = damped_newton(fun, np.zeros(2),
+                            jac=lambda x: fd_jacobian(fun, x))
+    assert info.converged and info.jac_evals == info.iterations >= 1
+    assert info.fun_evals == 1 + info.iterations
 
 
 def test_singular_jacobian_raises():
@@ -72,7 +68,8 @@ def test_singular_jacobian_raises():
 def test_stall_reports_worst_equation():
     # no root: |f| has a positive floor, Newton must give up
     x, info = damped_newton(lambda x: np.array([x[0] ** 2 + 1.0]),
-                            np.array([0.5]), maxiter=50)
+                            np.array([0.5]), jac=_jac_x_squared,
+                            maxiter=50)
     assert not info.converged
     assert info.worst_equation == 0
     assert info.residual >= 1.0
@@ -85,17 +82,12 @@ def test_max_step_caps_update():
         trace.append(x.copy())
         return np.array([x[0] - 100.0])
 
-    x, info = damped_newton(fun, np.array([0.0]), max_step=1.0, maxiter=200)
+    x, info = damped_newton(fun, np.array([0.0]),
+                            jac=lambda x: np.ones((1, 1)), max_step=1.0,
+                            maxiter=200)
     assert info.converged
     steps = np.abs(np.diff([t[0] for t in trace]))
     assert steps.max() <= 1.0 + 1e-12
-
-
-def test_tol_scale():
-    x, info = damped_newton(lambda x: np.array([x[0] - 1.0]),
-                            np.array([5.0]), tol=1e-3, scale=10.0)
-    assert info.converged
-    assert info.residual < 1e-2
 
 
 def test_sparse_jacobian_and_history():
@@ -104,8 +96,9 @@ def test_sparse_jacobian_and_history():
     def fun(x):
         return x ** 3 + x - c
 
+    # a diagonal Jacobian, held as a dense array
     x, info = damped_newton(fun, np.zeros(50),
-                            jac=lambda x: diags(3 * x ** 2 + 1, format="csc"))
+                            jac=lambda x: np.diag(3 * x ** 2 + 1))
     assert info.converged
     assert np.max(np.abs(fun(x))) < 1e-11
     # max|f| at the start, then after each accepted step
@@ -115,16 +108,10 @@ def test_sparse_jacobian_and_history():
     assert all(b < a for a, b in zip(info.history, info.history[1:]))
 
 
-def test_singular_sparse_jacobian_raises():
-    with pytest.raises(SolverError):
-        damped_newton(lambda x: np.array([x[0] + x[1], x[0] + x[1]]),
-                      np.array([1.0, 1.0]),
-                      jac=lambda x: csc_matrix(np.ones((2, 2))))
-
-
 def test_history_on_stall():
     x, info = damped_newton(lambda x: np.array([x[0] ** 2 + 1.0]),
-                            np.array([0.5]), maxiter=50)
+                            np.array([0.5]), jac=_jac_x_squared,
+                            maxiter=50)
     assert not info.converged
     assert len(info.history) == info.iterations + 1
     assert info.history[-1] == info.residual

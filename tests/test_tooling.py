@@ -10,7 +10,6 @@ import pytest
 from conftest import CACHE_DIR
 from netforge import (assembly, balance, builders, cli, fields, interaction,
                       solvers)
-from netforge.catalog import chain
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "perfbench", "spans.py")
@@ -26,13 +25,13 @@ def spans():
     return module
 
 
-def test_tracer_records_newton_and_restores_functions(spans):
+def test_tracer_records_newton_and_restores_functions(spans, table):
     before = {owner: dict(vars(owner)) for owner in OWNERS}
     tracer = spans.Tracer()
     spans.install(tracer)
     try:
         assert balance.damped_newton is not solvers.damped_newton
-        balance.perturb_unbalanced(chain(3), f={"z0": 0.02 + 0.01j})
+        assembly.solve_master(builders.example_5_1(7), 64.0, 10.0, table)
     finally:
         tracer.uninstall()
     assert len(tracer.durations("solvers.damped_newton")) == 1
