@@ -3,7 +3,6 @@
 generation with signs, and closest-neighbor bands."""
 
 import cmath
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -12,13 +11,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Piece, pieces_conflict
+from .geometry import Piece, embedded, segment
 from .linearize import augmented_df_a
 from .network import (Network, NetworkError, bond_forces, edge_key, forces,
-                      json_member, network_from_obj, network_to_obj)
+                      json_member, network_from_obj, network_to_obj,
+                      read_json, write_json)
 from .solvers import NewtonInfo, SolverError, damped_newton
 
 GEOM_TOL = 1e-9
+MU_MAX = 2.5                     # largest dilation the quantization tries
 
 
 @dataclass
@@ -100,18 +101,11 @@ def assembly_from_obj(obj):
 
 
 def save_assembly(asm, path):
-    with open(path, "w") as fh:
-        json.dump(assembly_to_obj(asm), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(assembly_to_obj(asm), path)
 
 
 def load_assembly(path):
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise NetworkError(f"invalid JSON: {exc}") from exc
-    return assembly_from_obj(obj)
+    return assembly_from_obj(read_json(path))
 
 
 # --- conditions (i)-(vii) ------------------------------------------------
@@ -150,17 +144,11 @@ def _check_barycenters(asm):
 
 def _check_embedded_with_rays(asm):
     for p, sub in asm.subs.items():
-        pieces = []
-        for (u, v) in sub.net.edges:
-            a, b = sub.net.vertices[u], sub.net.vertices[v]
-            d = b - a
-            pieces.append(Piece(a, d / abs(d), abs(d)))
-        for (o, u, q) in _rays(asm, p):
-            pieces.append(Piece(o, u, math.inf))
-        for i in range(len(pieces)):
-            for j in range(i + 1, len(pieces)):
-                if pieces_conflict(pieces[i], pieces[j], GEOM_TOL):
-                    return False, f"conflicting pieces in sub at {p!r}"
+        pieces = [segment(sub.net.vertices[u], sub.net.vertices[v])
+                  for u, v in sub.net.edges]
+        pieces += [Piece(o, u, math.inf) for o, u, _ in _rays(asm, p)]
+        if not embedded(pieces, GEOM_TOL):
+            return False, f"conflicting pieces in sub at {p!r}"
     return True, ""
 
 
@@ -351,8 +339,7 @@ def _estimate_weights(asm, f_total):
             for k, e in enumerate(master.edges)}
 
 
-def coordinate_quantization(asm, kappa, ell, table, mu_max=2.5,
-                            weights=None):
+def coordinate_quantization(asm, kappa, ell, table, weights=None):
     """Chain counts chosen jointly with a global dilation factor mu.
 
     The rounded-up per-edge counts can be geometrically frustrated: the
@@ -378,7 +365,7 @@ def coordinate_quantization(asm, kappa, ell, table, mu_max=2.5,
         allowance[k] = ((rq - rp) * (d / r[k]).conjugate()).real
     one_m_alpha = 1.0 - table.alpha_ell(
         np.array([weights[ek] for ek in edges]), ell)
-    mus = np.linspace(1.0, mu_max, 3001)
+    mus = np.linspace(1.0, MU_MAX, 3001)
     g = mus[:, None] * kappa * r + allowance          # (mu, edge)
     counts = np.maximum(1.0, np.rint(g / (2.0 * one_m_alpha)))
     defect = np.max(np.abs(2 * counts * one_m_alpha - g), axis=1,
@@ -413,19 +400,18 @@ class MasterSolveResult:
     f: dict                      # (p, r) -> complex
 
 
-def solve_master(asm, kappa, ell, table, f=None, tol=1e-11, skip_verify=False,
-                 m_map=None):
+def solve_master(asm, kappa, ell, table, f=None, tol=1e-11, skip_verify=False):
     """Positions and weights (master and sub-networks) realizing the
     quantized lengths and the anchored force balance, with the dilation
     directions of the weight and position blocks carried as explicit
-    unknowns. Chain counts default to the coordinated quantization, which
+    unknowns. Chain counts come from the coordinated quantization, which
     keeps the targets consistent around master cycles at finite kappa.
     Newton runs on the system's analytic Jacobian."""
     if not skip_verify:
         report = verify_assembly(asm)
         if not report.ok:
             raise SolverError(f"assembly conditions fail: {report.failing()}")
-    fun, jac, x0, finish = _master_system(asm, kappa, ell, table, f, m_map)
+    fun, jac, x0, finish = _master_system(asm, kappa, ell, table, f)
     try:
         x, info = damped_newton(fun, x0, jac=jac, tol=tol, maxiter=200,
                                 max_step=0.25)
@@ -448,7 +434,7 @@ def _null_space(a):
     return vh[np.sum(s > tol, dtype=int):].T
 
 
-def _master_system(asm, kappa, ell, table, f=None, m_map=None):
+def _master_system(asm, kappa, ell, table, f=None):
     """The master solve's equations as (fun, jac, x0, finish).
 
     fun(x) stacks the residual groups (a)-(f), jac(x) is its Jacobian in
@@ -458,19 +444,17 @@ def _master_system(asm, kappa, ell, table, f=None, m_map=None):
     n, m = master.n, master.m
     ids = master.ids
     edges = master.edges
-    mu0 = 1.0
-    if m_map is None:
-        w_est = None
-        if f and any(abs(complex(v)) for v in f.values()):
-            f_total = {}
-            for (p, _r), val in f.items():
-                f_total[p] = f_total.get(p, 0j) + complex(val)
-            w_est = _estimate_weights(asm, f_total)
-        try:
-            m_map, mu0 = coordinate_quantization(asm, kappa, ell, table,
-                                                 weights=w_est)
-        except ValueError as exc:    # a weight has no alpha_ell at ell
-            raise SolverError(f"chain quantization failed: {exc}") from exc
+    w_est = None
+    if f and any(abs(complex(v)) for v in f.values()):
+        f_total = {}
+        for (p, _r), val in f.items():
+            f_total[p] = f_total.get(p, 0j) + complex(val)
+        w_est = _estimate_weights(asm, f_total)
+    try:
+        m_map, mu0 = coordinate_quantization(asm, kappa, ell, table,
+                                             weights=w_est)
+    except ValueError as exc:    # a weight has no alpha_ell at ell
+        raise SolverError(f"chain quantization failed: {exc}") from exc
     fv = {}
     for p in ids:
         for r in asm.subs[p].net.ids:
@@ -824,16 +808,15 @@ class Configuration:
         return CloudIndex(self.positions, self.ell)
 
 
-def generate_cloud(result, table, eta=None):
+def generate_cloud(result, table):
     """The point cloud of a solved assembly: every sub-network vertex at
     ell (kappa P_p + z_r), then each master edge's 2m - 1 chain points
     spaced ell - lambda_e from its p-side anchor toward its q-side one."""
     asm = result.assembly
     ell, kappa = result.ell, result.kappa
+    eta, witness = solve_signs(asm)
     if eta is None:
-        eta, witness = solve_signs(asm)
-        if eta is None:
-            raise SolverError(f"sign conditions unsatisfiable: {witness}")
+        raise SolverError(f"sign conditions unsatisfiable: {witness}")
     sub_z, sub_signs, provenance, sub_expected = [], [], [], []
     for p in asm.master.ids:
         sub = asm.subs[p]

@@ -25,7 +25,7 @@ from .fields import (FieldWindow, delta_limit, predicted_force,
                      project_force, residual, residual_norms)
 from .interaction import S_MAX, S_MIN, load_or_build
 from .linearize import certify
-from .network import NetworkError, load_network
+from .network import NetworkError, load_network, write_json
 from .solvers import SolverError
 from .svgplot import heatmap_svg, scatter_svg
 
@@ -35,9 +35,9 @@ EXIT_BORDERLINE = 2
 EXIT_CONDITIONS = 3
 EXIT_USAGE = 64
 
-# Largest --k. verify_assembly's cost grows like k^4.7 (6 s for
-# example_5_1 at k 64, over 150 s at k 128), and certify on K_poly at
-# k 256 allocates a 7.9 GiB matrix.
+# Largest --k and --n. verify_assembly's cost grows like k^4.9 (0.35 s
+# for example_5_1 at k 64, 10 s at k 128, on a 2-core x86-64 host), and
+# certify on K_poly at k 256 allocates a 7.9 GiB matrix.
 K_MAX = 64
 
 
@@ -67,9 +67,7 @@ class RunManifest:
                "version": self.version, "wall_time": self.wall_time}
         if self.solver is not None:
             obj["solver"] = self.solver
-        with open(path, "w") as fh:
-            json.dump(obj, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(obj, path)
 
 
 def _manifest_path(out):
@@ -90,13 +88,15 @@ def _add_catalog_flags(sp, catalog_help="catalog name"):
     sp.add_argument("--k", type=_k,
                     help="polygon size of the catalogs that take one, an "
                          f"integer <= {K_MAX}")
-    sp.add_argument("--n", type=int)
+    sp.add_argument("--n", type=_k,
+                    help="size of the catalogs that take one, an integer "
+                         f"<= {K_MAX}")
     sp.add_argument("--theta", type=float)
     sp.add_argument("--nu", type=float)
     sp.add_argument("--mu", type=float)
     sp.add_argument("--a", type=float)
     sp.add_argument("--b", type=float)
-    sp.add_argument("--perturbation", type=float)
+    sp.add_argument("--perturbation", type=_finite)
     sp.add_argument("--seed", type=int)
 
 
@@ -112,8 +112,12 @@ def _number(text, ok, requirement):
     return val
 
 
+def _finite(text):
+    return _number(text, math.isfinite, "a finite number")
+
+
 def _k(text):
-    """argparse type: an integer <= K_MAX, else a usage error."""
+    """argparse type (--k, --n): an integer <= K_MAX, else a usage error."""
     try:
         k = int(text)
     except ValueError:
@@ -268,29 +272,21 @@ def cmd_configure(args):
     except SolverError as exc:
         print(f"configure: {exc}", file=sys.stderr)
         return EXIT_FAILED
-    if not result.info.converged:
-        print(f"configure: solver stalled at residual "
-              f"{result.info.residual:.3e}", file=sys.stderr)
-        return EXIT_FAILED
 
     config = generate_cloud(result, table)
     save_cloud(config, args.out)
     nb = neighbor_graph(config, delta=args.delta)
     report_path = args.out + ".report.json"
-    with open(report_path, "w") as fh:
-        json.dump({
-            "points": len(config.positions),
-            "ell": args.ell, "kappa": args.kappa,
-            "chain_counts": {f"{p}--{q}": m
-                             for (p, q), m in sorted(config.m_map.items())},
-            "condition_residuals": {k: float(v)
-                                    for k, v in sorted(
-                                        result.residuals.items())},
-            "band_violations": [[i, j, d] for i, j, d in nb.violations],
-            "degree_mismatches": [[i, e, g]
-                                  for i, e, g in nb.degree_mismatches],
-        }, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json({
+        "points": len(config.positions),
+        "ell": args.ell, "kappa": args.kappa,
+        "chain_counts": {f"{p}--{q}": m
+                         for (p, q), m in sorted(config.m_map.items())},
+        "condition_residuals": {k: float(v)
+                                for k, v in sorted(result.residuals.items())},
+        "band_violations": [[i, j, d] for i, j, d in nb.violations],
+        "degree_mismatches": [[i, e, g] for i, e, g in nb.degree_mismatches],
+    }, report_path)
     man = RunManifest("configure", inputs,
                       {"catalog": args.catalog, **_catalog_params(args),
                        "ell": args.ell, "kappa": args.kappa,
@@ -457,9 +453,7 @@ def cmd_assemble(args):
                  "pass": gate_pass},
         "points": sorted(rows, key=lambda r: r["index"]),
     }
-    with open(args.out, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True, default=float)
-        fh.write("\n")
+    write_json(obj, args.out, default=float)
     outputs = [args.out]
     if args.plot and first_field is not None:
         x, y = first_field.window.axes()

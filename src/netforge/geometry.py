@@ -1,7 +1,8 @@
-"""Plane-geometry predicates for segments and rays.
+"""Plane geometry of segments and rays: one intersection predicate,
+`pieces_conflict`, and the pairwise scan `embedded` built on it.
 
-Points are complex numbers. All predicates take an absolute tolerance that
-callers scale by the bounding-box diameter of the figure under test.
+Points are complex numbers. The predicates take an absolute tolerance on
+lengths and on cross products of unit directions.
 """
 
 import math
@@ -13,58 +14,9 @@ def cross(u, v):
     return u.real * v.imag - u.imag * v.real
 
 
-def orient(a, b, c, tol=0.0):
-    """Orientation of the triple (a, b, c): +1 ccw, -1 cw, 0 collinear."""
-    d = cross(b - a, c - a)
-    if d > tol:
-        return 1
-    if d < -tol:
-        return -1
-    return 0
-
-
-def on_segment(p, a, b, tol):
-    """True if p lies on the closed segment [a, b] (within tol)."""
-    if abs(cross(b - a, p - a)) > tol * max(abs(b - a), 1.0):
-        return False
-    lo_x, hi_x = min(a.real, b.real), max(a.real, b.real)
-    lo_y, hi_y = min(a.imag, b.imag), max(a.imag, b.imag)
-    return (lo_x - tol <= p.real <= hi_x + tol
-            and lo_y - tol <= p.imag <= hi_y + tol)
-
-
-def segments_conflict(a, b, c, d, tol):
-    """True if segments [a,b] and [c,d] intersect anywhere except at a
-    shared endpoint.
-
-    Shared endpoints are detected within tol. Collinear overlap beyond a
-    single shared point counts as a conflict.
-    """
-    shared = [(p, q) for p in (a, b) for q in (c, d) if abs(p - q) <= tol]
-    if len(shared) >= 2:
-        return True  # same segment twice
-    if len(shared) == 1:
-        p, _ = shared[0]
-        a2 = b if abs(p - a) <= tol else a
-        c2 = d if abs(p - c) <= tol else c
-        # two segments out of a common point conflict only if collinear
-        # with overlap, i.e. one free endpoint lies on the other segment
-        return on_segment(a2, p, c2, tol) or on_segment(c2, p, a2, tol)
-    o1 = orient(a, b, c, tol)
-    o2 = orient(a, b, d, tol)
-    o3 = orient(c, d, a, tol)
-    o4 = orient(c, d, b, tol)
-    if o1 != o2 and o3 != o4 and (o1 or o2) and (o3 or o4):
-        return True
-    # collinear / touching cases
-    for p, (u, v) in ((a, (c, d)), (b, (c, d)), (c, (a, b)), (d, (a, b))):
-        if on_segment(p, u, v, tol):
-            return True
-    return False
-
-
 class Piece:
-    """A segment or a ray, for sub-network embeddedness checks.
+    """A segment or a ray, for the embeddedness checks of networks and of
+    sub-networks with their anchor rays.
 
     origin + t*direction for t in [0, length]; length = inf for rays.
     """
@@ -84,12 +36,10 @@ class Piece:
         return eps
 
 
-def _range_overlap(lo1, hi1, lo2, hi2, tol):
-    lo = max(lo1, lo2)
-    hi = min(hi1, hi2)
-    if hi < lo - tol:
-        return None
-    return (lo, hi)
+def segment(a, b):
+    """The segment [a, b] as a Piece."""
+    d = b - a
+    return Piece(a, d / abs(d), abs(d))
 
 
 def pieces_conflict(p1: Piece, p2: Piece, tol):
@@ -107,15 +57,14 @@ def pieces_conflict(p1: Piece, p2: Piece, tol):
         if sgn > 0:
             lo2, hi2 = s, s + p2.length
         else:
-            hi2 = s
-            lo2 = s - p2.length
-        ov = _range_overlap(0.0, p1.length, lo2, hi2, tol)
-        if ov is None:
+            lo2, hi2 = s - p2.length, s
+        # the overlap of p2's range with [0, p1.length] along p1
+        lo, hi = max(0.0, lo2), min(p1.length, hi2)
+        if hi < lo - tol:
             return False
-        lo, hi = ov
         if hi - lo > tol:
             return True
-        pt = p1.point(max(lo, 0.0))
+        pt = p1.point(lo)
         return not (_is_endpoint(pt, p1, tol) and _is_endpoint(pt, p2, tol))
     t1 = cross(w, p2.d) / denom
     t2 = cross(w, p1.d) / denom
@@ -129,3 +78,10 @@ def pieces_conflict(p1: Piece, p2: Piece, tol):
 
 def _is_endpoint(pt, piece, tol):
     return any(abs(pt - e) <= tol for e in piece.endpoints())
+
+
+def embedded(pieces, tol):
+    """True if no two of the pieces conflict."""
+    return not any(pieces_conflict(pieces[i], pieces[j], tol)
+                   for i in range(len(pieces))
+                   for j in range(i + 1, len(pieces)))

@@ -55,6 +55,9 @@ S_MIN, S_MAX, S_STEP = 2.0, 110.0, 0.5
 # R_SUPPORT.
 S_CLOSED = 25.0
 R_SUPPORT = 14.0
+# ground_state_beta bisects u(0) inside BETA_BRACKET, at most BETA_ITERS times
+BETA_BRACKET = (1.5, 3.0)
+BETA_ITERS = 62
 
 
 def _rhs(r, y):
@@ -86,10 +89,10 @@ def _shoot(beta, r_end, rtol=1e-13, dense=False):
     return sol
 
 
-def ground_state_beta(bracket=(1.5, 3.0), iters=62):
+def ground_state_beta():
     """Central value u(0) of the positive radial ground state, by bisection
     on the shooting parameter."""
-    lo, hi = bracket
+    lo, hi = BETA_BRACKET
 
     def classify(beta):
         sol = _shoot(beta, 30.0, rtol=1e-10)
@@ -101,7 +104,7 @@ def ground_state_beta(bracket=(1.5, 3.0), iters=62):
 
     if classify(lo) != -1 or classify(hi) != 1:
         raise ValueError("bracket does not straddle the ground state")
-    for _ in range(iters):
+    for _ in range(BETA_ITERS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -496,8 +499,8 @@ def _interaction_kernel(table, e, n, extent):
     return X, Y, G * np.outer(w, w)
 
 
-def build_table(bracket=(1.5, 3.0)):
-    beta = ground_state_beta(bracket)
+def build_table():
+    beta = ground_state_beta()
     return InteractionTable(beta, *_profile_grid(beta))
 
 

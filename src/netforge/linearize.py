@@ -94,14 +94,14 @@ def lambda_ring_matrix(sys):
     return np.hstack([lam, col[:, None]])
 
 
-def numerical_rank(mat, safety=RANK_SAFETY):
+def numerical_rank(mat):
     """(rank, singular values, gap_ratio) with the documented threshold."""
     if mat.size == 0:
         return 0, np.zeros(0), math.inf
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv[0] == 0.0:
         return 0, sv, math.inf
-    tau = max(mat.shape) * np.finfo(float).eps * sv[0] * safety
+    tau = max(mat.shape) * np.finfo(float).eps * sv[0] * RANK_SAFETY
     rank = int(np.sum(sv > tau))
     if rank == 0 or rank == len(sv) or sv[rank] == 0.0:
         gap = math.inf
@@ -151,12 +151,12 @@ class Certificate:
                           allow_nan=False)
 
 
-def certify(net, tol=1e-9, rank_safety=RANK_SAFETY):
+def certify(net, tol=1e-9):
     n, m = net.n, net.m
     balanced = is_balanced(net, tol)
     sys = build_differentials(net)
     lam = lambda_matrix(sys)
-    rank, sv, gap = numerical_rank(lam, rank_safety)
+    rank, sv, gap = numerical_rank(lam)
     required = 2 * n + m - (4 if balanced else 2)
     # count bounds: flexible is impossible when m exceeds the stated bound
     bound_ok = (m <= 2 * n - 2) if balanced else (m <= 2 * n - 3)
@@ -165,13 +165,13 @@ def certify(net, tol=1e-9, rank_safety=RANK_SAFETY):
     closable_rank = None
     closable = None
     if balanced and flexible:
-        cr, _, cgap = numerical_rank(lambda_ring_matrix(sys), rank_safety)
+        cr, _, cgap = numerical_rank(lambda_ring_matrix(sys))
         closable_rank = cr
         closable = (cr == 2 * n + m - 3)
         gaps.append(cgap)
     df_a_rank = None
     if balanced and m == 2 * n - 2:
-        df_a_rank, _, dgap = numerical_rank(sys.df_a, rank_safety)
+        df_a_rank, _, dgap = numerical_rank(sys.df_a)
         gaps.append(dgap)
         # cross-check: flexibility is equivalent to df_a rank m-1 here
         if flexible != (df_a_rank == m - 1):

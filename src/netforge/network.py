@@ -156,18 +156,11 @@ def is_connected(net):
     return len(seen) == net.n
 
 
-def is_embedded(net, tol=None):
+def is_embedded(net):
     """Every pair of distinct edges disjoint or meeting at a shared endpoint."""
-    if tol is None:
-        tol = GEOM_TOL * max(net.diameter(), 1.0)
-    es = net.edges
-    for i in range(len(es)):
-        a, b = net.vertices[es[i][0]], net.vertices[es[i][1]]
-        for j in range(i + 1, len(es)):
-            c, d = net.vertices[es[j][0]], net.vertices[es[j][1]]
-            if geometry.segments_conflict(a, b, c, d, tol):
-                return False
-    return True
+    return geometry.embedded(
+        [geometry.segment(net.vertices[u], net.vertices[v])
+         for u, v in net.edges], GEOM_TOL * max(net.diameter(), 1.0))
 
 
 def is_unitary(net, tol=1e-9):
@@ -213,6 +206,23 @@ def json_member(obj, key, what, kind=None):
     return val
 
 
+def write_json(obj, path, **kw):
+    """Write `obj` to `path` as indented, key-sorted JSON and a newline;
+    `kw` goes on to json.dump."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True, **kw)
+        fh.write("\n")
+
+
+def read_json(path):
+    """The JSON value in the file `path`; invalid JSON is a NetworkError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise NetworkError(f"invalid JSON: {exc}") from exc
+
+
 def network_from_obj(obj):
     verts = {}
     for rec in json_member(obj, "vertices", "network", list):
@@ -241,15 +251,8 @@ def network_from_obj(obj):
 
 
 def save_network(net, path):
-    with open(path, "w") as fh:
-        json.dump(network_to_obj(net), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(network_to_obj(net), path)
 
 
 def load_network(path):
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise NetworkError(f"invalid JSON: {exc}") from exc
-    return network_from_obj(obj)
+    return network_from_obj(read_json(path))

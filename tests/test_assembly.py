@@ -41,6 +41,17 @@ def test_verify_rejects_shifted_barycenter():
     assert "i_barycenter" in report.failing()
 
 
+def test_verify_rejects_a_ray_across_its_sub():
+    # swapped anchors send the ray toward v0 out of z3, across the heptagon
+    asm = example_5_1(7)
+    anchors = asm.subs["c"].anchors
+    anchors["v0"], anchors["v3"] = anchors["v3"], anchors["v0"]
+    report = verify_assembly(asm)
+    assert "ii_embedded_rays" in report.failing()
+    assert report.details["ii_embedded_rays"] == \
+        "conflicting pieces in sub at 'c'"
+
+
 def test_verify_names_the_vertex_out_of_interior_balance():
     # no sub of example_5_1(7) has a vertex off its anchors, so give the
     # heptagon at 'c' a centre 'o' on seven equal spokes, balanced by

@@ -416,6 +416,8 @@ BAD_INPUTS = [
     *[(cmd, ["--ell", ell]) for cmd in ("configure", "assemble")
       for ell in ("1", "nan", "200")],
     *[("configure", ["--kappa", kappa]) for kappa in ("0", "-3", "nan")],
+    *[("certify", ["--n", n]) for n in (str(cli.K_MAX + 1), "200000")],
+    *[("configure", ["--perturbation", p]) for p in ("nan", "inf")],
     *[("assemble", ["--windows", w]) for w in ("99999", "-1", ",", "")],
     *[("assemble", ["--delta", d])
       for d in ("nan", "inf", "-inf", "-1000", "1000", "19.6")],
@@ -433,7 +435,7 @@ def test_bad_input_exits_64(tmp_path, cache_env, command, flags):
         args = ["configure", "--catalog", "example_5_1", "--k", "7",
                 "--out", str(tmp_path / "cloud.csv")]
     elif command == "certify":
-        args = ["certify", "--catalog", "N_C"]
+        args = ["certify", "--catalog", "N_I"]
     else:
         cloud = tmp_path / "one.csv"
         cloud.write_text("x,y,sign,provenance\n0,0,1,anchor:a:o\n")
@@ -448,3 +450,4 @@ def test_bad_input_exits_64(tmp_path, cache_env, command, flags):
         in r.stderr
     assert not (tmp_path / "cloud.csv").exists()
     assert not (tmp_path / "d.json").exists()
+    assert not list(tmp_path.glob("*.manifest.json"))

@@ -1,9 +1,13 @@
-import math
+import cmath
+import itertools
 
-from netforge.geometry import (INF, Piece, cross, on_segment, orient,
-                               pieces_conflict, segments_conflict)
+from netforge.geometry import INF, Piece, cross, pieces_conflict, segment
 
 TOL = 1e-12
+
+
+def conflict(a, b, c, d, tol=TOL):
+    return pieces_conflict(segment(a, b), segment(c, d), tol)
 
 
 def test_cross():
@@ -12,45 +16,57 @@ def test_cross():
     assert cross(2 + 3j, 4 + 6j) == 0.0
 
 
-def test_orient():
-    assert orient(0j, 1 + 0j, 1j) == 1
-    assert orient(0j, 1j, 1 + 0j) == -1
-    assert orient(0j, 1 + 0j, 2 + 0j) == 0
-    # tolerance turns a slightly ccw triple into collinear
-    assert orient(0j, 1 + 0j, complex(2, 1e-15), tol=1e-12) == 0
-
-
-def test_on_segment():
-    assert on_segment(0.5 + 0j, 0j, 1 + 0j, TOL)
-    assert on_segment(0j, 0j, 1 + 0j, TOL)
-    assert not on_segment(1.5 + 0j, 0j, 1 + 0j, TOL)
-    assert not on_segment(0.5 + 0.1j, 0j, 1 + 0j, TOL)
-
-
 def test_segments_crossing():
-    assert segments_conflict(0j, 1 + 1j, 1j, 1 + 0j, TOL)
+    assert conflict(0j, 1 + 1j, 1j, 1 + 0j)
 
 
 def test_segments_disjoint():
-    assert not segments_conflict(0j, 1 + 0j, 2j, 1 + 2j, TOL)
+    assert not conflict(0j, 1 + 0j, 2j, 1 + 2j)
 
 
 def test_segments_shared_endpoint_ok():
     # two edges out of a common vertex, not collinear: no conflict
-    assert not segments_conflict(0j, 1 + 0j, 0j, 1j, TOL)
+    assert not conflict(0j, 1 + 0j, 0j, 1j)
 
 
 def test_segments_collinear_overlap():
-    assert segments_conflict(0j, 2 + 0j, 1 + 0j, 3 + 0j, TOL)
+    assert conflict(0j, 2 + 0j, 1 + 0j, 3 + 0j)
     # collinear continuation through a shared endpoint only touches
-    assert not segments_conflict(0j, 1 + 0j, 1 + 0j, 2 + 0j, TOL)
-    # same segment twice always conflicts
-    assert segments_conflict(0j, 1 + 0j, 0j, 1 + 0j, TOL)
+    assert not conflict(0j, 1 + 0j, 1 + 0j, 2 + 0j)
+    # same segment twice always conflicts, either way round
+    assert conflict(0j, 1 + 0j, 0j, 1 + 0j)
+    assert conflict(0j, 1 + 0j, 1 + 0j, 0j)
 
 
 def test_segments_t_touch():
     # an endpoint in the interior of the other segment conflicts
-    assert segments_conflict(0j, 2 + 0j, 1 + 0j, 1 + 1j, TOL)
+    assert conflict(0j, 2 + 0j, 1 + 0j, 1 + 1j)
+
+
+def test_grid_segment_pairs_symmetric_and_invariant():
+    """Every ordered pair of segments between points of the 4x4 integer
+    grid: the verdict does not depend on the order of the pair, on the
+    direction of either segment, or on a rotation, scale and shift of the
+    figure with the tolerance scaled alike."""
+    pts = [complex(x, y) for x in range(4) for y in range(4)]
+    segs = list(itertools.permutations(pts, 2))
+    scale = 2.3
+    move = cmath.exp(0.7j) * scale
+
+    def moved(*zs):
+        return [move * z + (5 + 2j) for z in zs]
+
+    conflicts = 0
+    for (a, b), (c, d) in itertools.product(segs, segs):
+        got = conflict(a, b, c, d)
+        conflicts += got
+        assert conflict(c, d, a, b) == got, (a, b, c, d)
+        assert conflict(b, a, c, d) == got, (a, b, c, d)
+        assert conflict(a, b, d, c) == got, (a, b, c, d)
+        assert conflict(*moved(a, b, c, d), TOL * scale) == got, \
+            (a, b, c, d)
+    assert len(segs) ** 2 == 57600
+    assert 0 < conflicts < len(segs) ** 2
 
 
 def test_pieces_crossing_rays():
