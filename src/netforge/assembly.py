@@ -13,7 +13,7 @@ import numpy as np
 
 from .geometry import Piece, embedded, segment
 from .linearize import augmented_df_a
-from .network import (Network, NetworkError, bond_forces, edge_key, forces,
+from .network import (Network, NetworkError, bond_forces, edge_key,
                       json_member, network_from_obj, network_to_obj,
                       read_json, write_json)
 from .solvers import NewtonInfo, SolverError, damped_newton
@@ -26,10 +26,6 @@ MU_MAX = 2.5                     # largest dilation the quantization tries
 class SubNetwork:
     net: Network                 # local coordinates, unitary
     anchors: dict                # master neighbor id -> local vertex id
-
-    @property
-    def n(self):
-        return self.net.n
 
 
 @dataclass
@@ -57,14 +53,9 @@ class Assembly:
                                        f"in the sub-network at {p!r}")
 
 
-def singleton():
-    return SubNetwork(Network({"o": 0j}, {}), {})
-
-
 def singleton_at(master, p):
-    sub = singleton()
-    sub.anchors = {q: "o" for q in master.neighbors(p)}
-    return sub
+    return SubNetwork(Network({"o": 0j}, {}),
+                      {q: "o" for q in master.neighbors(p)})
 
 
 # --- JSON ---------------------------------------------------------------
@@ -108,6 +99,46 @@ def load_assembly(path):
     return assembly_from_obj(read_json(path))
 
 
+# --- layout ----------------------------------------------------------------
+
+class Layout(NamedTuple):
+    """An assembly numbered globally. Sub vertices come master vertex by
+    master vertex in canonical order, each sub's in its own, and sub
+    edges likewise. The bonds are the sub edges, then one per master edge
+    (p, q) from its anchor at p to its anchor at q."""
+    keys: list                   # (p, r) of each sub vertex
+    owner: np.ndarray            # master vertex index of each sub vertex
+    starts: np.ndarray           # first sub vertex of each master vertex
+    edges: list                  # (p, edge) of each sub edge
+    first: np.ndarray            # first and second end of each bond
+    second: np.ndarray
+    pos: np.ndarray              # local position of each sub vertex
+    weights: np.ndarray          # weight of each sub edge
+    anchored: np.ndarray         # master edges anchored at each sub vertex
+
+
+def layout(asm):
+    """The Layout of `asm` as it is now (an Assembly can be edited)."""
+    master = asm.master
+    nets = [asm.subs[p].net for p in master.ids]
+    sizes = np.array([net.n for net in nets], dtype=int)
+    starts = np.cumsum(sizes) - sizes
+    keys = [(p, r) for p, net in zip(master.ids, nets) for r in net.ids]
+    vert = {key: i for i, key in enumerate(keys)}
+    anchors = np.array([[vert[(p, asm.subs[p].anchors[q])],
+                         vert[(q, asm.subs[q].anchors[p])]]
+                        for p, q in master.edges], dtype=int).reshape(-1, 2)
+    first, second = (np.concatenate([net.ends[k] + s for net, s
+                                     in zip(nets, starts)] + [anchors[:, k]])
+                     for k in (0, 1))
+    return Layout(keys, np.repeat(np.arange(len(nets)), sizes), starts,
+                  [(p, ek) for p, net in zip(master.ids, nets)
+                   for ek in net.edges], first, second,
+                  np.concatenate([net.positions() for net in nets]),
+                  np.concatenate([net.weight_array() for net in nets]),
+                  np.bincount(anchors.ravel(), minlength=len(keys)))
+
+
 # --- conditions (i)-(vii) ------------------------------------------------
 
 @dataclass
@@ -134,11 +165,10 @@ def _rays(asm, p):
     return out
 
 
-def _check_barycenters(asm):
-    worst = 0.0
-    for p, sub in asm.subs.items():
-        bary = sum(sub.net.vertices.values()) / sub.n
-        worst = max(worst, abs(bary))
+def _check_barycenters(lay):
+    total = np.add.reduceat(lay.pos, lay.starts)
+    n = np.diff(lay.starts, append=len(lay.keys))
+    worst = float(np.max(np.hypot(total.real / n, total.imag / n)))
     return worst <= GEOM_TOL, f"max |barycenter| = {worst:.2e}"
 
 
@@ -152,28 +182,28 @@ def _check_embedded_with_rays(asm):
     return True, ""
 
 
-def _check_balance(asm, anchored):
-    """Force balance at sub vertices; `anchored` selects which half of the
-    condition pair is being checked. An anchoring vertex also carries the
-    unit pulls of its master edges, weighted by the master weights."""
-    worst = 0.0
-    where = None
+def _balance_defects(asm, lay):
+    """|force| at each sub vertex in layout order: its sub edges' unit
+    pulls, and at an anchor the pulls of its master bonds, each along its
+    master edge and weighted by the master weight."""
     master = asm.master
-    for p, sub in asm.subs.items():
-        F = forces(sub.net)
-        pull = {}                       # anchoring vertex -> master pulls
-        for q, r in sub.anchors.items():
-            d = master.vertices[q] - master.vertices[p]
-            w = master.weights[edge_key(p, q)]
-            pull[r] = pull.get(r, 0j) + w * d / abs(d)
-        for r in sub.net.ids:
-            if (r in pull) != anchored:
-                continue
-            defect = abs(F[r] + pull.get(r, 0j))
-            if defect > worst:
-                worst, where = defect, (p, r)
-    ok = worst <= 1e-9
-    return ok, f"max defect {worst:.2e} at {where}" if where else ""
+    d = lay.pos[lay.second] - lay.pos[lay.first]
+    z = master.positions()
+    d[len(lay.edges):] = z[master.ends[1]] - z[master.ends[0]]
+    return np.abs(bond_forces(len(lay.keys), lay.first, lay.second, d,
+                              np.concatenate([lay.weights,
+                                              master.weight_array()])))
+
+
+def _check_balance(asm, lay, anchored):
+    """Force balance at sub vertices; `anchored` selects which half of the
+    condition pair is being checked."""
+    defect = np.where((lay.anchored > 0) == anchored,
+                      _balance_defects(asm, lay), 0.0)
+    k = int(np.argmax(defect))
+    worst = float(defect[k])
+    return worst <= 1e-9, (f"max defect {worst:.2e} at {lay.keys[k]}"
+                           if worst > 0 else "")
 
 
 def _check_min_distance(asm):
@@ -248,20 +278,27 @@ def _check_ray_separation(asm):
 
 def solve_signs(asm):
     """Sign assignment satisfying the parity constraints, or an odd-cycle
-    witness.
+    witness: (eta, witness) with eta p -> {r -> +-1}, or None when the
+    constraints are inconsistent (see _sign_array)."""
+    lay = layout(asm)
+    eta, witness = _sign_array(asm, lay)
+    if eta is None:
+        return None, witness
+    signs = iter(eta.tolist())   # layout order: each sub's vertices in turn
+    return {p: dict(zip(asm.subs[p].net.ids, signs))
+            for p in asm.master.ids}, ""
+
+
+def _sign_array(asm, lay):
+    """The signs of the sub vertices in layout order, or None, and an
+    odd-cycle witness.
 
     Constraints: eta_r * eta_r' = sign(a) across each sub edge, and the two
-    anchors of every master edge carry equal signs. Returns (eta, witness);
-    eta is None when inconsistent. Components are normalized so the
-    smallest-labelled vertex carries +1; supplied signs are honored when
-    consistent."""
-    nodes = []
-    for p in sorted(asm.subs):
-        for r in asm.subs[p].net.ids:
-            nodes.append((p, r))
-    index = {nd: i for i, nd in enumerate(nodes)}
-    parent = list(range(len(nodes)))
-    parity = [1] * len(nodes)       # sign relative to parent
+    anchors of every master edge carry equal signs. The root of each
+    component of the constraint forest carries +1; supplied signs are
+    honored when consistent."""
+    parent = list(range(len(lay.keys)))
+    parity = [1] * len(lay.keys)    # sign relative to parent
 
     def find(i):
         if parent[i] == i:
@@ -280,17 +317,18 @@ def solve_signs(asm):
         parity[rj] = si * s * sj
         return True
 
-    for p, sub in asm.subs.items():
-        for (u, v) in sub.net.edges:
-            s = 1 if sub.net.weights[(u, v)] > 0 else -1
-            if not union(index[(p, u)], index[(p, v)], s):
-                return None, f"odd cycle through sub edge {u!r}-{v!r} at {p!r}"
-    for (p, q) in asm.master.edges:
-        i = index[(p, asm.subs[p].anchors[q])]
-        j = index[(q, asm.subs[q].anchors[p])]
-        if not union(i, j, 1):
-            return None, f"odd cycle through master edge {p!r}-{q!r}"
-    eta = {}
+    ne = len(lay.edges)
+    signs = np.where(lay.weights > 0, 1, -1).tolist() + [1] * asm.master.m
+    for b, bond in enumerate(zip(lay.first.tolist(), lay.second.tolist(),
+                                 signs)):
+        if union(*bond):
+            continue
+        if b < ne:
+            p, (u, v) = lay.edges[b]
+            return None, f"odd cycle through sub edge {u!r}-{v!r} at {p!r}"
+        p, q = asm.master.edges[b - ne]
+        return None, f"odd cycle through master edge {p!r}-{q!r}"
+    index = {key: i for i, key in enumerate(lay.keys)}
     pinned = {}
     for p in sorted(asm.signs):
         for r, s in asm.signs[p].items():
@@ -298,27 +336,25 @@ def solve_signs(asm):
             if root in pinned and pinned[root] != s * rel:
                 return None, f"supplied signs inconsistent at ({p!r},{r!r})"
             pinned[root] = s * rel
-    for i, (p, r) in enumerate(nodes):
-        root, rel = find(i)
-        eta.setdefault(p, {})[r] = pinned.get(root, 1) * rel
-    return eta, ""
+    return np.array([pinned.get(root, 1) * rel
+                     for root, rel in map(find, range(len(lay.keys)))],
+                    dtype=int), ""
 
 
 def verify_assembly(asm):
     conditions = {}
     details = {}
+    lay = layout(asm)
     checks = [
-        ("i_barycenter", lambda: _check_barycenters(asm)),
+        ("i_barycenter", lambda: _check_barycenters(lay)),
         ("ii_embedded_rays", lambda: _check_embedded_with_rays(asm)),
-        ("iii_interior_balance", lambda: _check_balance(asm, False)),
-        ("iv_anchor_balance", lambda: _check_balance(asm, True)),
+        ("iii_interior_balance", lambda: _check_balance(asm, lay, False)),
+        ("iv_anchor_balance", lambda: _check_balance(asm, lay, True)),
         ("v_min_distance", lambda: _check_min_distance(asm)),
         ("vi_ray_separation", lambda: _check_ray_separation(asm)),
     ]
     for name, fn in checks:
-        ok, msg = fn()
-        conditions[name] = ok
-        details[name] = msg
+        conditions[name], details[name] = fn()
     eta, witness = solve_signs(asm)
     conditions["vii_sign_compatibility"] = eta is not None
     details["vii_sign_compatibility"] = witness
@@ -355,14 +391,15 @@ def coordinate_quantization(asm, kappa, ell, table, weights=None):
     if weights is None:
         weights = master.weights
     edges = master.edges
-    r = np.empty(len(edges))
-    allowance = np.empty(len(edges))
-    for k, (p, q) in enumerate(edges):
-        d = master.vertices[q] - master.vertices[p]
-        r[k] = abs(d)
-        rp = asm.subs[p].net.vertices[asm.subs[p].anchors[q]]
-        rq = asm.subs[q].net.vertices[asm.subs[q].anchors[p]]
-        allowance[k] = ((rq - rp) * (d / r[k]).conjugate()).real
+    lay = layout(asm)
+    z = master.positions()
+    d = z[master.ends[1]] - z[master.ends[0]]
+    r = np.hypot(d.real, d.imag)
+    ne = len(lay.edges)
+    gap = lay.pos[lay.second[ne:]] - lay.pos[lay.first[ne:]]
+    # the gap along d / r, divided part by part as Python divides a complex
+    # by a float (numpy's complex division rounds otherwise)
+    allowance = gap.real * (d.real / r) + gap.imag * (d.imag / r)
     one_m_alpha = 1.0 - table.alpha_ell(
         np.array([weights[ek] for ek in edges]), ell)
     mus = np.linspace(1.0, MU_MAX, 3001)
@@ -385,19 +422,21 @@ def coordinate_quantization(asm, kappa, ell, table, weights=None):
 
 @dataclass
 class MasterSolveResult:
+    """A solved assembly: positions and weights as arrays, the master's in
+    canonical vertex and edge order, the subs' in `layout` order."""
     assembly: Assembly
     kappa: float
     ell: float
-    m_map: dict
-    master_positions: dict
-    master_weights: dict
-    sub_positions: dict          # p -> {r -> complex}
-    sub_weights: dict            # p -> {edge -> float}
+    m_map: dict                  # master edge -> chain count m
+    layout: Layout
+    master_positions: np.ndarray  # complex, one per master vertex
+    master_weights: np.ndarray   # one per master edge
+    sub_positions: np.ndarray    # complex, one per layout sub vertex
+    sub_weights: np.ndarray      # one per layout sub edge
     e: complex
     t: float
     residuals: dict              # condition letter -> max residual
     info: NewtonInfo
-    f: dict                      # (p, r) -> complex
 
 
 def solve_master(asm, kappa, ell, table, f=None, tol=1e-11, skip_verify=False):
@@ -442,7 +481,6 @@ def _master_system(asm, kappa, ell, table, f=None):
     solution into a MasterSolveResult."""
     master = asm.master
     n, m = master.n, master.m
-    ids = master.ids
     edges = master.edges
     w_est = None
     if f and any(abs(complex(v)) for v in f.values()):
@@ -455,18 +493,14 @@ def _master_system(asm, kappa, ell, table, f=None):
                                              weights=w_est)
     except ValueError as exc:    # a weight has no alpha_ell at ell
         raise SolverError(f"chain quantization failed: {exc}") from exc
-    fv = {}
-    for p in ids:
-        for r in asm.subs[p].net.ids:
-            fv[(p, r)] = complex(f.get((p, r), 0)) if f else 0j
 
     # The master block x[:nm] moves the master positions (x, y
     # interleaved) and weights by the affine maps pvec + dP x[:nm] and
     # avec + dA x[:nm]: their null-space directions, then the dilation
     # rates cdot and ddot.
-    pvec = np.array([c for v in ids for c in (master.vertices[v].real,
-                                              master.vertices[v].imag)])
-    avec = np.array([master.weights[e] for e in edges])
+    zv = master.positions()
+    pvec = zv.view(float)
+    avec = master.weight_array()
     nm = 2 * n + m               # reparametrized master block size
     dP = np.zeros((2 * n, nm))
     dP[:, :2 * n - 1] = _null_space(pvec[None, :])
@@ -478,45 +512,26 @@ def _master_system(asm, kappa, ell, table, f=None):
 
     # Sub-network unknowns follow the master block, e and t: per master
     # vertex in canonical order, the sub's positions (x, y interleaved)
-    # then its weights. Sub vertices and sub edges are numbered globally
-    # in that same order, which is also the row order of groups (a), (c)/(d).
-    vert = {}                    # (p, r) -> global sub vertex
-    sub_edges = []               # (p, edge) of each global sub edge
-    pos_at, w_at = [], []        # x index of each vertex's x / edge's weight
-    eu, ev = [], []              # global endpoints of each sub edge
-    starts, owner = [], []       # first vertex of each sub / owning p index
-    off = nm + 3
-    for i, p in enumerate(ids):
-        net = asm.subs[p].net
-        starts.append(len(owner))
-        for j, r in enumerate(net.ids):
-            vert[(p, r)] = len(owner)
-            owner.append(i)
-            pos_at.append(off + 2 * j)
-        for k, (u, v) in enumerate(net.edges):
-            sub_edges.append((p, (u, v)))
-            eu.append(vert[(p, u)])
-            ev.append(vert[(p, v)])
-            w_at.append(off + 2 * net.n + k)
-        off += 2 * net.n + net.m
-    N = off
-    pos_at, w_at = np.array(pos_at, dtype=int), np.array(w_at, dtype=int)
-    owner = np.array(owner, dtype=int)
-    n_sub_edges = len(eu)
-    # master edge (p, q): its endpoints and the anchors at either end
-    index = master.index()
-    mp = np.array([index[p] for p, q in edges], dtype=int)
-    mq = np.array([index[q] for p, q in edges], dtype=int)
-    ap = [vert[(p, asm.subs[p].anchors[q])] for p, q in edges]
-    aq = [vert[(q, asm.subs[q].anchors[p])] for p, q in edges]
-    # bonds (sub edges, then master edges) pull their first end toward
-    # their second end and the second end back
-    first = np.array(eu + ap, dtype=int)
-    second = np.array(ev + aq, dtype=int)
+    # then its weights: the layout's order, which is also the row order
+    # of groups (a), (c)/(d).
+    lay = layout(asm)
+    owner, starts, first, second = lay.owner, lay.starts, lay.first, lay.second
+    n_sub_edges = len(lay.edges)
+    edge_owner = owner[first[:n_sub_edges]]
+    # a sub takes 2 n + m entries, so a vertex's x comes after two entries
+    # per earlier vertex and one per sub edge of earlier subs, and a sub
+    # edge's weight after two per vertex up to its sub's last and one per
+    # earlier sub edge
+    pos_at = (nm + 3 + 2 * np.arange(len(owner))
+              + np.searchsorted(edge_owner, owner))
+    w_at = (nm + 3 + 2 * np.searchsorted(owner, edge_owner, side="right")
+            + np.arange(n_sub_edges))
+    N = nm + 3 + 2 * len(owner) + n_sub_edges
+    mp, mq = master.ends         # master vertex index of each edge's ends
     twice_m = 2 * np.array([m_map[ek] for ek in edges], dtype=float)
-    zv = np.array([master.vertices[v] for v in ids])
-    fvec = np.array([fv[key] for key in vert], dtype=complex)
-    sub_n = np.array([asm.subs[p].net.n for p in ids], dtype=float)
+    fvec = np.array([complex((f or {}).get(key, 0)) for key in lay.keys],
+                    dtype=complex)
+    sub_n = np.diff(starts, append=len(owner)).astype(float)
 
     def unpack(x):
         pv = pvec + dP @ x[:nm]
@@ -616,27 +631,17 @@ def _master_system(asm, kappa, ell, table, f=None):
 
     x0 = np.zeros(N)
     x0[nm - 1] = mu0 - 1.0       # seed the dilation at the quantized scale
-    spos0 = np.array([asm.subs[p].net.vertices[r] for p, r in vert])
-    x0[pos_at] = spos0.real
-    x0[pos_at + 1] = spos0.imag
-    x0[w_at] = [asm.subs[p].net.weights[ek] for p, ek in sub_edges]
+    x0[pos_at] = lay.pos.real
+    x0[pos_at + 1] = lay.pos.imag
+    x0[w_at] = lay.weights
 
     def finish(x, info):
         phi, aw, e_vec, t, spos, sw = unpack(x)
         groups = residual_groups(phi, aw, e_vec, t, spos, sw)
         res = {name: float(np.max(np.abs(vals), initial=0.0))
                for name, vals in zip(("a", "b", "cd", "e", "f"), groups)}
-        sub_positions = {p: {} for p in ids}
-        for (p, r), z in zip(vert, spos.tolist()):
-            sub_positions[p][r] = z
-        sub_weights = {p: {} for p in ids}
-        for (p, ek), w in zip(sub_edges, sw.tolist()):
-            sub_weights[p][ek] = w
-        return MasterSolveResult(asm, kappa, ell, m_map,
-                                 dict(zip(ids, phi.tolist())),
-                                 dict(zip(edges, aw.tolist())),
-                                 sub_positions, sub_weights, e_vec, float(t),
-                                 res, info, fv)
+        return MasterSolveResult(asm, kappa, ell, m_map, lay, phi, aw, spos,
+                                 sw, e_vec, float(t), res, info)
 
     return fun, jac, x0, finish
 
@@ -773,17 +778,15 @@ class CloudIndex:
 class Configuration:
     """A point cloud as arrays, one entry per point: complex `positions`,
     int `signs` (+-1) and `provenance` labels, plus what generation knew.
-    `expected_degree[i]` is the near-neighbor count point i should have,
-    or -1 where it is not known (all -1 when not given). The arrays are
-    read-only copies of what the constructor is given."""
+    `band` is the half width C of neighbor_graph's near band |d - ell| <=
+    C. `expected_degree[i]` is the near-neighbor count point i should
+    have, or -1 where it is not known (all -1 when not given). The arrays
+    are read-only copies of what the constructor is given."""
     positions: np.ndarray
     signs: np.ndarray
     provenance: list
     ell: float
-    kappa: float = 0.0
-    m_map: dict = field(default_factory=dict)
-    lambda_master: dict = field(default_factory=dict)
-    lambda_sub: dict = field(default_factory=dict)
+    band: float = 0.5
     expected_degree: np.ndarray = None
 
     def __post_init__(self):
@@ -811,54 +814,45 @@ class Configuration:
 def generate_cloud(result, table):
     """The point cloud of a solved assembly: every sub-network vertex at
     ell (kappa P_p + z_r), then each master edge's 2m - 1 chain points
-    spaced ell - lambda_e from its p-side anchor toward its q-side one."""
-    asm = result.assembly
+    spaced ell - lambda_e from its p-side anchor toward its q-side one.
+    The near band is the largest |lambda_e| of any bond plus 0.1, as the
+    intended neighbor distances are ell - lambda_e."""
+    asm, lay = result.assembly, result.layout
     ell, kappa = result.ell, result.kappa
-    eta, witness = solve_signs(asm)
+    eta, witness = _sign_array(asm, lay)
     if eta is None:
         raise SolverError(f"sign conditions unsatisfiable: {witness}")
-    sub_z, sub_signs, provenance, sub_expected = [], [], [], []
-    for p in asm.master.ids:
-        sub = asm.subs[p]
-        anchored = {}
-        for q, r in sub.anchors.items():
-            anchored[r] = anchored.get(r, 0) + 1
-        for r in sub.net.ids:
-            sub_z.append(ell * (kappa * result.master_positions[p]
-                                + result.sub_positions[p][r]))
-            sub_signs.append(eta[p][r])
-            kind = "anchor" if r in anchored else "internal"
-            provenance.append(f"{kind}:{p}:{r}")
-            sub_expected.append(len(sub.net.neighbors(r))
-                                + anchored.get(r, 0))
-    sub_edges = [(p, ek) for p in asm.master.ids
-                 for ek in result.sub_weights[p]]
-    weights = ([result.sub_weights[p][ek] for p, ek in sub_edges]
-               + [result.master_weights[ek] for ek in asm.master.edges])
-    lams = (ell * table.alpha_ell(np.array(weights), ell)).tolist()
-    lam_sub = dict(zip(sub_edges, lams))
-    lam_master = dict(zip(asm.master.edges, lams[len(sub_edges):]))
-    positions = [np.array(sub_z, dtype=complex)]
-    signs = [np.array(sub_signs, dtype=int)]
-    expected = [np.array(sub_expected, dtype=int)]
-    for ek in asm.master.edges:
-        p, q = ek
-        ap = ell * (kappa * result.master_positions[p]
-                    + result.sub_positions[p][asm.subs[p].anchors[q]])
-        aq = ell * (kappa * result.master_positions[q]
-                    + result.sub_positions[q][asm.subs[q].anchors[p]])
-        e_pq = (aq - ap) / abs(aq - ap)
-        eta0 = eta[p][asm.subs[p].anchors[q]]
-        j = np.arange(1, 2 * result.m_map[ek])
-        positions.append(ap + (j * (ell - lam_master[ek])) * e_pq)
-        # the chain of a negative edge alternates its signs
-        signs.append(eta0 * (1 - 2 * (j % 2)) if result.master_weights[ek] < 0
-                     else np.full(len(j), eta0))
-        provenance.extend([f"chain:{p}:{q}:{i}" for i in j.tolist()])
-        expected.append(np.full(len(j), 2))
-    return Configuration(np.concatenate(positions), np.concatenate(signs),
-                         provenance, ell, kappa, dict(result.m_map),
-                         lam_master, lam_sub, np.concatenate(expected))
+    ne = len(lay.edges)
+    sub_z = ell * (kappa * result.master_positions[lay.owner]
+                   + result.sub_positions)
+    lam = ell * table.alpha_ell(
+        np.concatenate([result.sub_weights, result.master_weights]), ell)
+    ap, aq = sub_z[lay.first[ne:]], sub_z[lay.second[ne:]]
+    d = aq - ap
+    r = np.hypot(d.real, d.imag)
+    # parts divided one by one, as Python divides a complex by a float
+    e_pq = np.column_stack([d.real / r, d.imag / r]).view(complex).ravel()
+    # chain point i lies on master edge b[i], j[i] = 1 .. 2m - 1 steps out
+    m = np.array([result.m_map[ek] for ek in asm.master.edges], dtype=int)
+    b = np.repeat(np.arange(len(m)), 2 * m - 1)
+    j = _runs(np.ones_like(m), 2 * m)
+    chain = ap[b] + (j * (ell - lam[ne:][b])) * e_pq[b]
+    # the chain of a negative edge alternates its signs
+    alternate = np.where(result.master_weights[b] < 0, 1 - 2 * (j % 2), 1)
+    provenance = [f"{'anchor' if a else 'internal'}:{p}:{r}"
+                  for (p, r), a in zip(lay.keys, lay.anchored.tolist())]
+    provenance += [f"chain:{p}:{q}:{i}" for (p, q), mk
+                   in zip(asm.master.edges, m.tolist())
+                   for i in range(1, 2 * mk)]
+    # a sub vertex expects a near neighbor across each of its bonds
+    degree = np.bincount(np.concatenate([lay.first, lay.second]),
+                         minlength=len(lay.keys))
+    return Configuration(
+        np.concatenate([sub_z, chain]),
+        np.concatenate([eta, eta[lay.first[ne:]][b] * alternate]),
+        provenance, ell,
+        float(np.max(np.abs(lam))) + 0.1 if lam.size else 0.5,
+        np.concatenate([degree, np.full(len(b), 2)]))
 
 
 CLOUD_HEADER = "x,y,sign,provenance"
@@ -928,19 +922,16 @@ class NeighborReport:
         return neighbors
 
 
-def neighbor_graph(config, C=None, delta=0.05):
+def neighbor_graph(config, delta=0.05):
     """Classify all pairwise distances into the near band |d - ell| <= C or
     the far band d >= (1+delta) ell; anything in between is a violation.
     Near-neighbor counts are checked against the generation-time expected
     degrees where the configuration knows them.
 
-    The default band width adapts to the configuration: intended neighbor
-    distances are ell - lambda_e per edge, so C is the largest recorded
-    length correction plus a margin (0.5 when no corrections are known)."""
-    if C is None:
-        lams = [abs(l) for l in list(config.lambda_master.values())
-                + list(config.lambda_sub.values())]
-        C = max(lams) + 0.1 if lams else 0.5
+    C is the cloud's `band`: generate_cloud sets it to the largest length
+    correction |lambda_e| plus 0.1, since intended neighbor distances are
+    ell - lambda_e; a cloud read from a file has the default 0.5."""
+    C = config.band
     z = config.positions
     ell = config.ell
     far = (1.0 + delta) * ell
@@ -973,5 +964,5 @@ def diagnostic_chain_cloud(table, ell, m, a=1.0, eta0=1):
                   + ["anchor:q:o"])
     expected = np.full(len(j), 2)
     expected[[0, -1]] = 1
-    return Configuration(positions, signs, provenance, ell, 0.0,
-                         {("p", "q"): m}, {("p", "q"): lam}, {}, expected)
+    return Configuration(positions, signs, provenance, ell, abs(lam) + 0.1,
+                         expected)

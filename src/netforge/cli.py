@@ -6,7 +6,6 @@ manifest itself records wall time and is the one exception).
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -25,7 +24,7 @@ from .fields import (FieldWindow, delta_limit, predicted_force,
                      project_force, residual, residual_norms)
 from .interaction import S_MAX, S_MIN, load_or_build
 from .linearize import certify
-from .network import NetworkError, load_network, write_json
+from .network import NetworkError, load_network, read_json, write_json
 from .solvers import SolverError
 from .svgplot import heatmap_svg, scatter_svg
 
@@ -39,6 +38,9 @@ EXIT_USAGE = 64
 # for example_5_1 at k 64, 10 s at k 128, on a 2-core x86-64 host), and
 # certify on K_poly at k 256 allocates a 7.9 GiB matrix.
 K_MAX = 64
+# Largest Lambda side 2n + m that certify ranks, K_poly's at --k K_MAX: two
+# flags build more (N_RegPol_k at --n 64 --k 64, side 12,288, 768 MiB).
+LAMBDA_MAX = 2 * K_MAX + K_MAX * (K_MAX - 1) // 2
 
 
 class CliParser(argparse.ArgumentParser):
@@ -210,6 +212,10 @@ def cmd_certify(args):
                   f"(catalog names: {', '.join(catalog_names())})",
                   file=sys.stderr)
             return EXIT_USAGE
+        if 2 * net.n + net.m > LAMBDA_MAX:
+            raise NetworkError(f"Lambda side 2n + m = {2 * net.n + net.m} "
+                               f"exceeds {LAMBDA_MAX} (K_poly at --k "
+                               f"{K_MAX}), the largest certify ranks")
     except (OSError, NetworkError, TypeError, ValueError) as exc:
         print(f"certify: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -281,7 +287,7 @@ def cmd_configure(args):
         "points": len(config.positions),
         "ell": args.ell, "kappa": args.kappa,
         "chain_counts": {f"{p}--{q}": m
-                         for (p, q), m in sorted(config.m_map.items())},
+                         for (p, q), m in sorted(result.m_map.items())},
         "condition_residuals": {k: float(v)
                                 for k, v in sorted(result.residuals.items())},
         "band_violations": [[i, j, d] for i, j, d in nb.violations],
@@ -382,13 +388,15 @@ def _point_row(config, idx, table, delta):
 
 def _check_cloud_ell(path, ell):
     """Reject a cloud whose configure report (`<cloud>.report.json`)
-    records an ell other than `ell`; a cloud without a report passes."""
+    records an ell other than `ell`, records none or is no JSON; a cloud
+    without a report passes."""
     report = path + ".report.json"
     try:
-        with open(report) as fh:
-            built = json.load(fh)["ell"]
+        built = read_json(report)["ell"]
     except FileNotFoundError:
         return
+    except NetworkError as exc:
+        raise NetworkError(f"{report}: {exc}") from exc
     except (KeyError, TypeError):
         raise NetworkError(f"{report} records no ell")
     if built != ell:

@@ -8,16 +8,17 @@ from scipy.linalg import null_space
 
 from conftest import fd_jacobian
 from netforge.assembly import (GEOM_TOL, Assembly, CloudIndex,
-                               Configuration, SubNetwork,
-                               _check_ray_separation, _master_system,
-                               _null_space, _rays, coordinate_quantization,
+                               Configuration, SubNetwork, _balance_defects,
+                               _check_balance, _check_ray_separation,
+                               _master_system, _null_space, _rays,
+                               coordinate_quantization,
                                diagnostic_chain_cloud, generate_cloud,
-                               load_assembly, load_cloud, neighbor_graph,
-                               save_assembly, save_cloud,
+                               layout, load_assembly, load_cloud,
+                               neighbor_graph, save_assembly, save_cloud,
                                singleton_at, solve_master, verify_assembly)
 from netforge.builders import example_5_1, example_5_2, n_c_assembly
 from netforge.catalog import polygon_center
-from netforge.network import Network, NetworkError, edge_key
+from netforge.network import Network, NetworkError, edge_key, forces
 from netforge.solvers import SolverError, damped_newton
 
 
@@ -52,10 +53,10 @@ def test_verify_rejects_a_ray_across_its_sub():
         "conflicting pieces in sub at 'c'"
 
 
-def test_verify_names_the_vertex_out_of_interior_balance():
-    # no sub of example_5_1(7) has a vertex off its anchors, so give the
-    # heptagon at 'c' a centre 'o' on seven equal spokes, balanced by
-    # lighter sides; the spokes are not unit, so v_min_distance fails
+def _centred_heptagon():
+    """example_5_1(7) with a centre 'o' in the heptagon at 'c' on seven
+    equal spokes, balanced by lighter sides (no sub of example_5_1(7) has
+    a vertex off its anchors)."""
     asm = example_5_1(7)
     sub = asm.subs["c"]
     spoke = 0.5
@@ -64,6 +65,27 @@ def test_verify_names_the_vertex_out_of_interior_balance():
     weights.update({edge_key("o", r): spoke for r in sub.net.ids})
     asm.subs["c"] = SubNetwork(Network({**sub.net.vertices, "o": 0j},
                                        weights), dict(sub.anchors))
+    return asm
+
+
+def _heavy_centre_spoke():
+    """_centred_heptagon with its spoke to z2 half again as heavy."""
+    asm = _centred_heptagon()
+    asm.subs["c"].net.weights[edge_key("o", "z2")] *= 1.5
+    return asm
+
+
+def _heavy_master_spoke():
+    """example_5_1(7) with the master weight of c-v3 half again as heavy."""
+    asm = example_5_1(7)
+    asm.master.weights[edge_key("c", "v3")] *= 1.5
+    return asm
+
+
+def test_verify_names_the_vertex_out_of_interior_balance():
+    # the spokes of the centred heptagon are not unit, so v_min_distance
+    # fails
+    asm = _centred_heptagon()
     assert verify_assembly(asm).failing() == ["v_min_distance"]
     asm.subs["c"].net.weights[edge_key("o", "z2")] *= 1.5
     report = verify_assembly(asm)
@@ -74,13 +96,53 @@ def test_verify_names_the_vertex_out_of_interior_balance():
 
 def test_verify_names_the_vertex_out_of_anchor_balance():
     # a master weight pulls on the anchoring vertex at both of its ends
-    asm = example_5_1(7)
-    asm.master.weights[edge_key("c", "v3")] *= 1.5
-    report = verify_assembly(asm)
+    report = verify_assembly(_heavy_master_spoke())
     assert report.failing() == ["iv_anchor_balance"]
     msg = report.details["iv_anchor_balance"]
     assert msg.startswith("max defect 4.34e-01 at ")
     assert msg.endswith(("at ('c', 'z3')", "at ('v3', 'o')"))
+
+
+def _balance_defects_loop(asm):
+    """Reference: the balance defect of every sub vertex as conditions
+    (iii) and (iv) took it before the layout, sub by sub from each sub's
+    forces plus a dict of the master pulls at its anchors. Returns
+    {(p, r): (defect, anchored)}."""
+    master = asm.master
+    out = {}
+    for p, sub in asm.subs.items():
+        F = forces(sub.net)
+        pull = {}                       # anchoring vertex -> master pulls
+        for q, r in sub.anchors.items():
+            d = master.vertices[q] - master.vertices[p]
+            w = master.weights[edge_key(p, q)]
+            pull[r] = pull.get(r, 0j) + w * d / abs(d)
+        for r in sub.net.ids:
+            out[(p, r)] = (abs(F[r] + pull.get(r, 0j)), r in pull)
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda k=k: example_5_1(k) for k in (7, 8, 9)],
+    lambda: example_5_2(4),
+    *[lambda s=s: n_c_assembly(perturbation=0.02, seed=s) for s in (1, 2, 3)],
+    _heavy_centre_spoke, _heavy_master_spoke],
+    ids=["ex51-k7", "ex51-k8", "ex51-k9", "ex52-k4", "nc-seed1", "nc-seed2",
+         "nc-seed3", "heavy-centre-spoke", "heavy-master-spoke"])
+def test_balance_check_matches_per_sub_loop(build):
+    asm = build()
+    lay = layout(asm)
+    ref = _balance_defects_loop(asm)
+    got = _balance_defects(asm, lay)
+    assert sorted(ref) == sorted(lay.keys)
+    assert np.allclose(got, [ref[key][0] for key in lay.keys], rtol=0.0,
+                       atol=1e-12)
+    for anchored in (False, True):
+        worst = max([d for d, a in ref.values() if a == anchored],
+                    default=0.0)
+        ok, msg = _check_balance(asm, lay, anchored)
+        assert ok == (worst <= 1e-9)
+        assert msg.startswith("max defect ") == (worst > 0)
 
 
 def test_coordinate_quantization_example(table):
@@ -182,9 +244,8 @@ def test_solve_master_at_shortest_length(table):
     assert res.info.converged
     for key, val in res.residuals.items():
         assert val < 1e-11, (key, val)
-    weights = list(res.master_weights.values()) + [
-        w for sw in res.sub_weights.values() for w in sw.values()]
-    assert max(abs(w) for w in weights) <= 1.0
+    weights = np.concatenate([res.master_weights, res.sub_weights])
+    assert np.max(np.abs(weights)) <= 1.0
 
 
 @st.composite
@@ -230,19 +291,10 @@ def test_master_solve_same_with_fd_jacobian(table, asm, kappa):
     assert info.converged and info_fd.converged
     assert info.iterations == info_fd.iterations
     res, res_fd = finish(x, info), finish(x_fd, info_fd)
-    for key in res.master_weights:
-        assert abs(res.master_weights[key]
-                   - res_fd.master_weights[key]) <= 1e-10
-    for key in res.master_positions:
-        assert abs(res.master_positions[key]
-                   - res_fd.master_positions[key]) <= 1e-10
-    for p in res.sub_weights:
-        for key in res.sub_weights[p]:
-            assert abs(res.sub_weights[p][key]
-                       - res_fd.sub_weights[p][key]) <= 1e-10
-        for key in res.sub_positions[p]:
-            assert abs(res.sub_positions[p][key]
-                       - res_fd.sub_positions[p][key]) <= 1e-10
+    for name in ("master_weights", "master_positions", "sub_weights",
+                 "sub_positions"):
+        assert np.max(np.abs(getattr(res, name) - getattr(res_fd, name)),
+                      initial=0.0) <= 1e-10, name
 
 
 def test_master_solve_evaluation_budget(table):
@@ -359,17 +411,17 @@ def test_neighbor_graph_diagnostic_chain(table):
 
 
 def test_neighbor_graph_flags_violation():
-    cfg = Configuration([0j, 10.3 + 0j], [1, 1], ["a", "b"], 10.0)
-    nb = neighbor_graph(cfg, C=0.2, delta=0.05)
+    cfg = Configuration([0j, 10.3 + 0j], [1, 1], ["a", "b"], 10.0, band=0.2)
+    nb = neighbor_graph(cfg, delta=0.05)
     assert len(nb.violations) == 1
     i, j, d = nb.violations[0]
     assert (i, j) == (0, 1) and d == pytest.approx(10.3)
 
 
 def test_neighbor_graph_flags_degree_mismatch():
-    cfg = Configuration([0j, 10 + 0j], [1, 1], ["a", "b"], 10.0,
+    cfg = Configuration([0j, 10 + 0j], [1, 1], ["a", "b"], 10.0, band=0.5,
                         expected_degree=[2, 1])
-    nb = neighbor_graph(cfg, C=0.5)
+    nb = neighbor_graph(cfg)
     assert nb.degree_mismatches == [(0, 2, 1)]
 
 
@@ -377,8 +429,8 @@ def test_neighbor_graph_near_band_past_far_band():
     # C = 1 > delta ell = 0.5: a pair at 10.8 is near although it lies
     # beyond the far edge 10.5, so the search must reach ell + C
     cfg = Configuration([0j, 10.8 + 0j, 30 + 0j, 30 + 10.2j], [1] * 4,
-                        ["a", "b", "c", "d"], 10.0)
-    nb = neighbor_graph(cfg, C=1.0, delta=0.05)
+                        ["a", "b", "c", "d"], 10.0, band=1.0)
+    nb = neighbor_graph(cfg, delta=0.05)
     assert nb.neighbors == [[1], [0], [3], [2]]
     assert nb.violations == []
 
@@ -388,8 +440,8 @@ def test_neighbor_graph_keeps_pair_on_band_edge():
     # 100: an index that compares squares keeps the pair only by the
     # slack on its radius
     z = complex(3.07112432354196, 9.51673239034013)
-    cfg = Configuration([0j, z], [1, 1], ["a", "b"], 9.5)
-    nb = neighbor_graph(cfg, C=0.5, delta=0.0)
+    cfg = Configuration([0j, z], [1, 1], ["a", "b"], 9.5, band=0.5)
+    nb = neighbor_graph(cfg, delta=0.0)
     assert nb.neighbors == [[1], [0]]
 
 
@@ -440,7 +492,7 @@ def planted_clouds(draw):
     expected = [int(rng.integers(0, 4)) if rng.random() < 0.5 else -1
                 for _ in zs]
     return (Configuration(zs, [1] * len(zs),
-                          [f"p{i}" for i in range(len(zs))], ell,
+                          [f"p{i}" for i in range(len(zs))], ell, band=C,
                           expected_degree=expected), C, delta)
 
 
@@ -448,7 +500,7 @@ def planted_clouds(draw):
 @given(planted_clouds())
 def test_neighbor_graph_matches_all_pairs_loop(cloud):
     config, C, delta = cloud
-    nb = neighbor_graph(config, C=C, delta=delta)
+    nb = neighbor_graph(config, delta=delta)
     neighbors, violations, mismatches = _neighbor_graph_loop(config, C, delta)
     assert nb.neighbors == neighbors
     assert nb.violations == violations
@@ -460,9 +512,9 @@ def test_neighbor_graph_skips_non_finite_points():
     # a NaN or infinite position passes no band test, as in the loop
     zs = [0j, 10 + 0j, complex("nan"), 20 + 0j, complex("inf"), 10.2 + 0.1j]
     config = Configuration(zs, [1] * len(zs),
-                           [f"p{i}" for i in range(len(zs))], 10.0,
+                           [f"p{i}" for i in range(len(zs))], 10.0, band=0.5,
                            expected_degree=[-1, -1, 0, -1, 1, -1])
-    nb = neighbor_graph(config, C=0.5, delta=0.05)
+    nb = neighbor_graph(config, delta=0.05)
     assert (nb.neighbors, nb.violations, nb.degree_mismatches) == \
         _neighbor_graph_loop(config, 0.5, 0.05)
     assert nb.degree_mismatches == [(4, 1, 0)]

@@ -3,10 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from netforge import cli
+from netforge.catalog import catalog
 
 RUN = [sys.executable, "-m", "netforge.cli"]
 
@@ -268,6 +270,65 @@ def test_assemble_rejects_cloud_of_other_ell(tmp_path, cache_env):
     assert "configured at ell 10" in r.stderr
     assert "Traceback" not in r.stderr
     assert not diag.exists()
+
+
+@pytest.mark.parametrize("report, message", [
+    ("garbage", ".report.json: invalid JSON"),
+    ('{"ell": "ten"}', "was configured at ell ten"),
+    ('{"points": 1}', ".report.json records no ell"),
+    ("[10]", ".report.json records no ell")],
+    ids=["garbage", "string-ell", "no-ell", "array"])
+def test_assemble_names_the_report_it_cannot_read(tmp_path, capsys, report,
+                                                  message):
+    cloud = tmp_path / "one.csv"
+    cloud.write_text("x,y,sign,provenance\n0,0,1,anchor:a:o\n")
+    (tmp_path / "one.csv.report.json").write_text(report)
+    diag = tmp_path / "d.json"
+    assert cli.main(["assemble", str(cloud), "--ell", "10",
+                     "--out", str(diag)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"assemble: {cloud}")
+    assert f"{cloud}.report.json" in err and message in err
+    assert not diag.exists()
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+def _refuse_to_certify(*args, **kwargs):
+    raise AssertionError("certify ranked a network past LAMBDA_MAX")
+
+
+@pytest.mark.parametrize("source", ["catalog", "network"])
+def test_certify_refuses_a_network_past_the_largest_lambda(
+        tmp_path, capsys, monkeypatch, source):
+    # each flag is within K_MAX, but N_RegPol_k at --n 64 --k 64 has a
+    # Lambda of side 2n + m = 12,288 (a 768 MiB matrix); a path of 1,100
+    # vertices from a file has side 3,299. Both are refused before any
+    # matrix is built: certify itself must not run.
+    monkeypatch.setattr(cli, "certify", _refuse_to_certify)
+    if source == "catalog":
+        args = ["--catalog", "N_RegPol_k", "--n", "64", "--k", "64"]
+        side = 12288
+    else:
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": f"v{i:04d}", "x": i, "y": 0}
+                         for i in range(1100)],
+            "edges": [{"u": f"v{i:04d}", "v": f"v{i + 1:04d}", "weight": 1}
+                      for i in range(1099)]}))
+        args, side = ["--network", str(path)], 3299
+    out = tmp_path / "cert.json"
+    start = time.perf_counter()
+    assert cli.main(["certify", *args, "--out", str(out)]) == 64
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert err.startswith("certify: ") and f"= {side} exceeds" in err
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+def test_lambda_max_is_k_poly_at_k_max():
+    net = catalog("K_poly", k=cli.K_MAX)
+    assert 2 * net.n + net.m == cli.LAMBDA_MAX == 2144
 
 
 def test_plot_empty_cloud(tmp_path, cache_env):

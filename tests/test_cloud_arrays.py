@@ -14,12 +14,14 @@ from netforge import cli
 from netforge.assembly import (Configuration, generate_cloud, load_cloud,
                                neighbor_graph, save_cloud, solve_master,
                                solve_signs)
-from netforge.builders import example_5_1, n_c_assembly
+from netforge.builders import example_5_1, example_5_2, n_c_assembly
 
 ELL = 10.0
 CLOUDS = {
     "ex51-k7-kappa64": lambda: (example_5_1(7), 64.0),
     "ex51-k7-kappa1024": lambda: (example_5_1(7), 1024.0),
+    # triangle subs on the ring, a singleton at the centre
+    "ex52-k4-kappa64": lambda: (example_5_2(4), 64.0),
     "nc-perturbed-seed1": lambda: (n_c_assembly(perturbation=0.01, seed=1),
                                    64.0),
 }
@@ -28,12 +30,15 @@ CLOUDS = {
 # --- per-point references ------------------------------------------------
 
 def _generate_cloud_loop(result, table):
-    """Reference: one point at a time, in Python complex arithmetic.
-    Returns ([(z, sign, provenance)], {index: degree}, lam_master,
-    lam_sub)."""
+    """Reference: one point at a time, in Python complex arithmetic, with
+    the solved sub positions read through the layout's (p, r) keys.
+    Returns ([(z, sign, provenance)], {index: degree}, band)."""
     asm = result.assembly
     ell, kappa = result.ell, result.kappa
     eta, _ = solve_signs(asm)
+    phi = dict(zip(asm.master.ids, result.master_positions.tolist()))
+    weight = dict(zip(asm.master.edges, result.master_weights.tolist()))
+    local = dict(zip(result.layout.keys, result.sub_positions.tolist()))
     rows = []
     expected = {}
     for p in asm.master.ids:
@@ -42,27 +47,21 @@ def _generate_cloud_loop(result, table):
         for q, r in sub.anchors.items():
             anchored[r] = anchored.get(r, 0) + 1
         for r in sub.net.ids:
-            z = ell * (kappa * result.master_positions[p]
-                       + result.sub_positions[p][r])
+            z = ell * (kappa * phi[p] + local[(p, r)])
             kind = "anchor" if r in anchored else "internal"
             expected[len(rows)] = (len(sub.net.neighbors(r))
                                    + anchored.get(r, 0))
             rows.append((z, eta[p][r], f"{kind}:{p}:{r}"))
-    sub_edges = [(p, ek) for p in asm.master.ids
-                 for ek in result.sub_weights[p]]
-    weights = ([result.sub_weights[p][ek] for p, ek in sub_edges]
-               + [result.master_weights[ek] for ek in asm.master.edges])
+    weights = (result.sub_weights.tolist()
+               + [weight[ek] for ek in asm.master.edges])
     lams = (ell * table.alpha_ell(np.array(weights), ell)).tolist()
-    lam_sub = dict(zip(sub_edges, lams))
-    lam_master = dict(zip(asm.master.edges, lams[len(sub_edges):]))
+    lam_master = dict(zip(asm.master.edges, lams[len(result.sub_weights):]))
     for ek in asm.master.edges:
         p, q = ek
-        aw = result.master_weights[ek]
+        aw = weight[ek]
         lam = lam_master[ek]
-        ap = ell * (kappa * result.master_positions[p]
-                    + result.sub_positions[p][asm.subs[p].anchors[q]])
-        aq = ell * (kappa * result.master_positions[q]
-                    + result.sub_positions[q][asm.subs[q].anchors[p]])
+        ap = ell * (kappa * phi[p] + local[(p, asm.subs[p].anchors[q])])
+        aq = ell * (kappa * phi[q] + local[(q, asm.subs[q].anchors[p])])
         e_pq = (aq - ap) / abs(aq - ap)
         eta0 = eta[p][asm.subs[p].anchors[q]]
         for j in range(1, 2 * result.m_map[ek]):
@@ -70,7 +69,7 @@ def _generate_cloud_loop(result, table):
             sign = eta0 * ((-1) ** j if aw < 0 else 1)
             expected[len(rows)] = 2
             rows.append((z, sign, f"chain:{p}:{q}:{j}"))
-    return rows, expected, lam_master, lam_sub
+    return rows, expected, max(abs(lam) for lam in lams) + 0.1
 
 
 def _save_cloud_loop(rows, path):
@@ -119,7 +118,7 @@ def _bits(z):
     return np.asarray(z, dtype=complex).view(np.uint64).tolist()
 
 
-# --- the three clouds ----------------------------------------------------
+# --- the solved clouds ---------------------------------------------------
 
 @pytest.fixture(scope="module", params=sorted(CLOUDS))
 def solved(request, table):
@@ -129,14 +128,13 @@ def solved(request, table):
 
 def test_generate_cloud_matches_loop(solved, table):
     cfg = generate_cloud(solved, table)
-    rows, expected, lam_master, lam_sub = _generate_cloud_loop(solved, table)
+    rows, expected, band = _generate_cloud_loop(solved, table)
     assert _bits(cfg.positions) == _bits([z for z, _, _ in rows])
     assert cfg.signs.tolist() == [s for _, s, _ in rows]
     assert cfg.provenance == [p for _, _, p in rows]
     assert cfg.expected_degree.tolist() == [expected[i]
                                             for i in range(len(rows))]
-    assert (cfg.lambda_master, cfg.lambda_sub) == (lam_master, lam_sub)
-    assert cfg.m_map == solved.m_map
+    assert cfg.band == band
 
 
 def test_cloud_file_matches_loop(solved, table, tmp_path):
@@ -156,8 +154,7 @@ def test_cloud_file_matches_loop(solved, table, tmp_path):
 
 def test_neighbor_report_matches_loop(solved, table):
     cfg = generate_cloud(solved, table)
-    C = max(abs(v) for v in [*cfg.lambda_master.values(),
-                             *cfg.lambda_sub.values()]) + 0.1
+    C = _generate_cloud_loop(solved, table)[2]
     nb = neighbor_graph(cfg)
     neighbors, violations, mismatches = _neighbor_graph_per_point(cfg, C,
                                                                   0.05)
