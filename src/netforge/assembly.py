@@ -20,6 +20,10 @@ from .solvers import NewtonInfo, SolverError, damped_newton
 
 GEOM_TOL = 1e-9
 MU_MAX = 2.5                     # largest dilation the quantization tries
+# Largest ray index j that condition (vi) searches. A pair of rays takes a
+# grid of jmax^2 distances; the catalog's largest is 446^2 (example_5_1 at
+# k 64), and the cap holds a grid to 2^22 cells, 32 MiB a float array.
+RAY_J_MAX = 2048
 
 
 @dataclass
@@ -227,11 +231,17 @@ def _check_ray_separation(asm):
     and from the integer points of other rays; the search ranges are finite
     because the distance provably exceeds 1 beyond them. Each ray takes
     one array of distances to the sub vertices, each pair of rays one grid
-    over j, j'; a failure names the first violation in that order."""
+    over j, j'; a failure names the first violation in that order. A
+    search past RAY_J_MAX fails before it allocates."""
     for p, sub in asm.subs.items():
         diam = sub.net.diameter()
+        if not math.isfinite(diam):
+            return False, f"sub at {p!r} has a non-finite diameter"
         rays = _rays(asm, p)
         jmax_v = math.ceil(diam + 2)
+        if jmax_v > RAY_J_MAX:
+            return False, (f"sub at {p!r} of diameter {diam:.6g} needs ray "
+                           f"points past j={RAY_J_MAX}")
         for (o, u, q) in rays:
             ids = [r for r in sub.net.ids if sub.net.vertices[r] != o]
             v = np.array([sub.net.vertices[r] for r in ids], dtype=complex)
@@ -260,6 +270,10 @@ def _check_ray_separation(asm):
                                        f"at {p!r} separated by {lat:.6f}")
                     continue
                 jmax = math.ceil((diam + 2) / (math.sqrt(2.0) * half)) + 1
+                if jmax > RAY_J_MAX:
+                    return False, (f"rays toward {q1!r} and {q2!r} at "
+                                   f"{p!r} need points up to j={jmax}, "
+                                   f"past {RAY_J_MAX}")
                 j = np.arange(1.0, jmax + 1.0)
                 # o1 + j u1 - o2 - j' u2 over the grid of j (rows), j'
                 d = np.hypot(((o1.real + j * u1.real) - o2.real)[:, None]
@@ -445,7 +459,9 @@ def solve_master(asm, kappa, ell, table, f=None, tol=1e-11, skip_verify=False):
     directions of the weight and position blocks carried as explicit
     unknowns. Chain counts come from the coordinated quantization, which
     keeps the targets consistent around master cycles at finite kappa.
-    Newton runs on the system's analytic Jacobian."""
+    Newton runs on the system's analytic Jacobian. `f` maps sub vertices
+    (p, r) to the forces applied at them; a key that names no sub vertex
+    raises ValueError."""
     if not skip_verify:
         report = verify_assembly(asm)
         if not report.ok:
@@ -482,6 +498,11 @@ def _master_system(asm, kappa, ell, table, f=None):
     master = asm.master
     n, m = master.n, master.m
     edges = master.edges
+    lay = layout(asm)
+    known = set(lay.keys)
+    for key in f or ():
+        if key not in known:
+            raise ValueError(f"f key {key!r} names no sub vertex")
     w_est = None
     if f and any(abs(complex(v)) for v in f.values()):
         f_total = {}
@@ -514,7 +535,6 @@ def _master_system(asm, kappa, ell, table, f=None):
     # vertex in canonical order, the sub's positions (x, y interleaved)
     # then its weights: the layout's order, which is also the row order
     # of groups (a), (c)/(d).
-    lay = layout(asm)
     owner, starts, first, second = lay.owner, lay.starts, lay.first, lay.second
     n_sub_edges = len(lay.edges)
     edge_owner = owner[first[:n_sub_edges]]

@@ -416,6 +416,8 @@ def cmd_assemble(args):
         _check_out_dirs(args.out, args.plot)
         _check_cloud_ell(args.cloud, args.ell)
         config = load_cloud(args.cloud, args.ell)
+        if np.any(np.abs(config.signs) != 1):   # the windows add or subtract
+            raise NetworkError("cloud signs must be +1 or -1")
         sel = _select_windows(config, args.windows)
         midchain = _midchain_indices(config)
     except (OSError, NetworkError, ValueError, OverflowError) as exc:

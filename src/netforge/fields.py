@@ -86,10 +86,12 @@ def _cached(table, key, build):
 
 def _bump_terms(table, dx, dy, delta):
     """u0, f(u0) and the norm-weight term exp(delta sqrt(1 + |x - z|^2))
-    of a bump z, on the offsets dx (column) and dy (row) from it."""
-    u0 = table.u0_at(np.hypot(dx, dy))
-    return (u0, f(u0),
-            np.exp(delta * np.sqrt(1.0 + dx ** 2 + dy ** 2)))
+    of a bump z, on the offsets dx (column) and dy (row) from it. The
+    squares are taken once; r = sqrt(dx^2 + dy^2) costs a quarter of
+    np.hypot, whose overflow guard the window's offsets never need."""
+    dx2, dy2 = dx * dx, dy * dy
+    u0 = table.u0_at(np.sqrt(dx2 + dy2))
+    return u0, f(u0), np.exp(delta * np.sqrt((1.0 + dx2) + dy2))
 
 
 def residual(config, window, table):
@@ -101,7 +103,8 @@ def residual(config, window, table):
     pass over the bumps sums the norm weight
     sum_z exp(delta sqrt(1 + |x - z|^2)) at the window's delta. Each bump
     is placed by its offset from the window centre; a bump at the centre
-    takes the template of the window's shape.
+    takes the template of the window's shape. Each bump is added or
+    subtracted by its sign, which must be +1 or -1.
     """
     off = window.offsets()
     u = np.zeros((off.size, off.size))
@@ -118,8 +121,12 @@ def residual(config, window, table):
         else:
             u0, fu0, wz = _bump_terms(table, (off - o.real)[:, None],
                                       (off - o.imag)[None, :], window.delta)
-        u += s * u0
-        lin += s * fu0
+        if s > 0:
+            u += u0
+            lin += fu0
+        else:
+            u -= u0
+            lin -= fu0
         w += wz
     E = f(u) - lin
     for a in (u, E, w):
@@ -228,10 +235,13 @@ def predicted_force(config, z_index, table, band=0.5):
     ell = config.ell
     k = config.index.near(z, ell + band)
     k = k[k != z_index]
+    dz = config.positions[k] - z
+    # np.hypot rounds as Python's abs(complex) does; np.abs does not
+    d = np.hypot(dz.real, dz.imag)
+    near = np.abs(d - ell) <= band
     out = 0j
-    for zk, sk in zip(config.positions[k].tolist(),
-                      config.signs[k].tolist()):
-        d = abs(zk - z)
-        if abs(d - ell) <= band:
-            out += eta * sk * float(table.upsilon(d)) * (zk - z) / d
+    for dzk, dk, sk, uk in zip(dz[near].tolist(), d[near].tolist(),
+                               config.signs[k[near]].tolist(),
+                               table.upsilon(d[near]).tolist()):
+        out += eta * sk * uk * dzk / dk
     return out

@@ -247,12 +247,15 @@ def _not_a_knot(x, y):
     e = x[2] - x[0]
     d[0] = dx[1]
     du[0] = e
-    b[0] = ((dx[0] + 2 * e) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / e
+    # squared as arrays, as scipy squares them: for 2-d y, dxr[0] is an
+    # array, whose ** 2 is x * x, where a float64 scalar's calls pow
+    b[0] = ((dxr[0] + 2 * e) * dxr[1] * slope[0]
+            + dxr[0]**2 * slope[1]) / e
     e = x[-1] - x[-3]
     d[-1] = dx[-2]
     dl[-1] = e
-    b[-1] = ((dx[-1]**2 * slope[-2]
-              + (2 * e + dx[-1]) * dx[-2] * slope[-1]) / e)
+    b[-1] = ((dxr[-1]**2 * slope[-2]
+              + (2 * e + dxr[-1]) * dxr[-2] * slope[-1]) / e)
     m = _gtsv(dl, d, du, b.reshape(n, -1)).reshape(y.shape)
     t = (m[:-1] + m[1:] - 2 * slope) / dxr
     return np.stack((t / dxr, (slope - m[:-1]) / dxr - t, m[:-1], y[:-1]))
@@ -291,22 +294,24 @@ class _Cubic:
                 c2 + d1 * s + d0 * s2)
 
 
-def _spline_on_grid(c, x):
-    """The cubic spline with coefficients `c` (as _not_a_knot fits them
-    when the table loads) on the knots i * DR at x, bit for bit as
-    _Cubic and scipy evaluate it: c3 + c2 s + c1 s^2 + c0 s^3 summed in
-    that order, s = x - i DR, on the i with i DR <= x < (i + 1) DR (ends
-    extended). i is x / DR truncated. Where that i may be one off (s < 0,
-    or s so near DR that (i + 1) DR can round below x) or lies past the
-    ends, i moves across the knot or is clipped and s is taken again: a
-    few x at the knots, and those beyond the grid."""
+def _spline_on_grid(rows, x):
+    """The cubic spline with coefficient rows `rows` (row i holds c3, c2,
+    c1, c0 of the interval i, as _not_a_knot fits them) on the knots
+    i * DR at x, bit for bit as _Cubic and scipy evaluate it:
+    c3 + c2 s + c1 s^2 + c0 s^3 summed in that order, s = x - i DR, on
+    the i with i DR <= x < (i + 1) DR (ends extended). i is x / DR
+    truncated. Where that i may be one off (s < 0, or s so near DR that
+    (i + 1) DR can round below x) or lies past the ends, i moves across
+    the knot or is clipped and s is taken again: a few x at the knots, and
+    those beyond the grid."""
     shape = np.shape(x)
     x = np.ravel(x)
-    n = c.shape[1]
+    n = rows.shape[0]
     i = (x * (1.0 / DR)).astype(np.intp)
     s = x - i * DR
+    # as unsigned, a negative i (and NaN's) is past n too
     fix = np.flatnonzero((s < 0) | (s >= DR * (1.0 - 1e-9))
-                         | (i < 0) | (i >= n))
+                         | (i.view(np.uintp) >= n))
     if fix.size:
         xf = x[fix]
         j = i[fix]
@@ -315,11 +320,17 @@ def _spline_on_grid(c, x):
         j = np.clip(j, 0, n - 1)
         i[fix] = j
         s[fix] = xf - j * DR
-    # each gather inside the sum, so no more than two live at once
-    c0, c1, c2, c3 = c
+    # one gather of a contiguous row per sample, then the sum in that
+    # order (c2 s + c3 is c3 + c2 s), in place
+    c3, c2, c1, c0 = np.take(rows, i, axis=0).T
     s2 = s * s
-    return (np.take(c3, i) + np.take(c2, i) * s + np.take(c1, i) * s2
-            + np.take(c0, i) * (s2 * s)).reshape(shape)
+    out = c2 * s
+    out += c3
+    out += c1 * s2
+    s2 *= s
+    s2 *= c0
+    out += s2
+    return out.reshape(shape)
 
 
 class InteractionTable:
@@ -376,27 +387,21 @@ class InteractionTable:
 
     @cached_property
     def _profile_c(self):
-        """Coefficients of the u0 and u0' splines, fitted together: they
-        share the knots r, so one elimination serves both."""
+        """Coefficient rows of the u0 and u0' splines, [0] and [1], as
+        _spline_on_grid reads them: row i holds c3, c2, c1, c0 of the
+        interval i. They are fitted together: they share the knots r, so
+        one elimination serves both."""
         c = _not_a_knot(self.r, np.column_stack((self.u0, self.du0)))
-        return np.ascontiguousarray(np.moveaxis(c, -1, 0))
-
-    @property
-    def _u_c(self):
-        return self._profile_c[0]
-
-    @property
-    def _du_c(self):
-        return self._profile_c[1]
+        return np.ascontiguousarray(c[::-1].transpose(2, 1, 0))
 
     def u0_at(self, r):
-        return self._radial(r, self._u_c, "k0", self.A)
+        return self._radial(r, self._profile_c[0], "k0", self.A)
 
     def du0_at(self, r):
-        return self._radial(r, self._du_c, "k1", -self.A)
+        return self._radial(r, self._profile_c[1], "k1", -self.A)
 
     def _radial(self, r, c, bessel, amplitude):
-        """The spline with coefficients `c` on the grid, the tail
+        """The spline with coefficient rows `c` on the grid, the tail
         amplitude * K(r) beyond it (and at NaN), K the scipy.special
         function named `bessel`; each point runs only its own branch."""
         r = np.asarray(r, dtype=float)

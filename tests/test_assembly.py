@@ -1,4 +1,6 @@
+import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from conftest import fd_jacobian
-from netforge.assembly import (GEOM_TOL, Assembly, CloudIndex,
+from netforge import cli
+from netforge.assembly import (GEOM_TOL, RAY_J_MAX, Assembly, CloudIndex,
                                Configuration, SubNetwork, _balance_defects,
                                _check_balance, _check_ray_separation,
                                _master_system, _null_space, _rays,
@@ -222,6 +225,15 @@ def test_solve_master_rejects_failing_assembly(table):
     from netforge.builders import n_v_assembly
     with pytest.raises(SolverError):
         solve_master(n_v_assembly(), 64.0, 10.0, table)
+
+
+def test_solve_master_rejects_an_f_key_naming_no_sub_vertex(table):
+    # the key counted in the chain-count estimate but applied no force
+    for key in [("v0", "nowhere"), ("nowhere", "o"), "v0"]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"f key {key!r} names no sub vertex")):
+            solve_master(example_5_1(7), 64.0, 10.0, table,
+                         f={("v1", "o"): 0.1, key: 0.3})
 
 
 def test_solve_master_reports_weights_leaving_the_table(table):
@@ -616,7 +628,12 @@ def _check_ray_separation_loop(asm):
     for p, sub in asm.subs.items():
         diam = sub.net.diameter()
         rays = _rays(asm, p)
+        if not math.isfinite(diam):
+            return False, f"sub at {p!r} has a non-finite diameter"
         jmax_v = math.ceil(diam + 2)
+        if jmax_v > RAY_J_MAX:
+            return False, (f"sub at {p!r} of diameter {diam:.6g} needs ray "
+                           f"points past j={RAY_J_MAX}")
         for (o, u, q) in rays:
             for r in sub.net.ids:
                 v = sub.net.vertices[r]
@@ -642,6 +659,10 @@ def _check_ray_separation_loop(asm):
                                        f"at {p!r} separated by {lat:.6f}")
                     continue
                 jmax = math.ceil((diam + 2) / (math.sqrt(2.0) * half)) + 1
+                if jmax > RAY_J_MAX:
+                    return False, (f"rays toward {q1!r} and {q2!r} at "
+                                   f"{p!r} need points up to j={jmax}, "
+                                   f"past {RAY_J_MAX}")
                 for j in range(1, jmax + 1):
                     for jp in range(1, jmax + 1):
                         d = abs(o1 + j * u1 - o2 - jp * u2)
@@ -710,6 +731,70 @@ def test_ray_separation_names_the_first_violation_in_loop_order():
     for a, message in cases:
         assert _check_ray_separation(a) == (False, message)
         assert _check_ray_separation_loop(a) == (False, message)
+
+
+def _refuse_long_ranges(monkeypatch):
+    """Make np.arange fail the test when asked for more than RAY_J_MAX + 1
+    points, so that a search past the cap is refused, never allocated."""
+    real = np.arange
+
+    def arange(*args, **kwargs):
+        lo, hi = (0, args[0]) if len(args) == 1 else args[:2]
+        assert hi - lo <= RAY_J_MAX + 1, f"np.arange of {hi - lo} points"
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", arange)
+
+
+def test_ray_separation_refuses_a_search_past_the_cap(monkeypatch):
+    _refuse_long_ranges(monkeypatch)
+    master = Network({"p": 0j, "a": 10 + 0j, "b": 10 * cmath.exp(1e-4j)},
+                     {("a", "p"): 1.0, ("b", "p"): 1.0})
+
+    def asm(sub):
+        return Assembly(master, {"p": sub, "a": singleton_at(master, "a"),
+                                 "b": singleton_at(master, "b")})
+
+    def spread(*ys):
+        return SubNetwork(Network({"o": 0j, **{f"w{i}": 1j * y for i, y
+                                               in enumerate(ys)}}, {}),
+                          {"a": "o", "b": "o"})
+
+    # rays 1e-4 rad apart: the pair grid would be 28,286^2 cells
+    cases = [(asm(singleton_at(master, "p")),
+              "rays toward 'a' and 'b' at 'p' need points up to j=28286, "
+              f"past {RAY_J_MAX}"),
+             (asm(spread(-1e308)), "sub at 'p' of diameter 1e+308 needs "
+                                   f"ray points past j={RAY_J_MAX}"),
+             (asm(spread(-1e308, 1e308)),
+              "sub at 'p' has a non-finite diameter")]
+    for a, message in cases:
+        assert _check_ray_separation(a) == (False, message)
+        assert _check_ray_separation_loop(a) == (False, message)
+
+
+def test_configure_reports_a_sub_too_wide_to_search(tmp_path, capsys,
+                                                    monkeypatch):
+    # a sub vertex of example_5_1 moved to y = -1e308 ended configure in
+    # a traceback: condition (vi) asked np.arange for 1e308 points
+    _refuse_long_ranges(monkeypatch)
+    asm = example_5_1(7)
+    sub = asm.subs["c"].net
+    r = sub.ids[0]
+    asm.subs["c"] = SubNetwork(
+        sub.with_positions({**sub.vertices, r: complex(sub.vertices[r].real,
+                                                       -1e308)}),
+        asm.subs["c"].anchors)
+    path = tmp_path / "asm.json"
+    save_assembly(asm, path)
+    out = tmp_path / "cloud.csv"
+    assert cli.main(["configure", "--assembly", str(path),
+                     "--out", str(out)]) == cli.EXIT_CONDITIONS
+    err = capsys.readouterr().err
+    assert ("condition vi_ray_separation fails: sub at 'c' of diameter "
+            "1e+308 needs ray points past j=2048") in err.splitlines()
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_singleton_anchors():

@@ -293,6 +293,19 @@ def test_assemble_names_the_report_it_cannot_read(tmp_path, capsys, report,
     assert not list(tmp_path.glob("*.manifest.json"))
 
 
+@pytest.mark.parametrize("sign", ["0", "2", "-3"])
+def test_assemble_refuses_a_sign_other_than_one(tmp_path, capsys, sign):
+    cloud = tmp_path / "two.csv"
+    cloud.write_text("x,y,sign,provenance\n0,0,1,anchor:a:o\n"
+                     f"10,0,{sign},anchor:b:o\n")
+    diag = tmp_path / "d.json"
+    assert cli.main(["assemble", str(cloud), "--ell", "10",
+                     "--out", str(diag)]) == 64
+    assert capsys.readouterr().err == ("assemble: cloud signs must be +1 "
+                                       "or -1\n")
+    assert not diag.exists()
+
+
 def _refuse_to_certify(*args, **kwargs):
     raise AssertionError("certify ranked a network past LAMBDA_MAX")
 

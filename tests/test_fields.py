@@ -58,6 +58,28 @@ def test_single_point_residual_is_zero(table):
     assert np.max(np.abs(w.E)) == 0.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(-15.0, 15.0),
+                                 st.floats(-15.0, 15.0),
+                                 st.sampled_from([1, -1])),
+                       min_size=1, max_size=6),
+       on_point=st.booleans(), delta=st.floats(-1.0, 0.0))
+def test_negating_every_sign_negates_the_field(table, points, on_point,
+                                               delta):
+    zs = [complex(x, y) for x, y, _ in points]
+    signs = [s for _, _, s in points]
+    # on a point, its bump takes the window's template
+    window = FieldWindow(zs[0] if on_point else 0.5 + 0.25j, 4.5,
+                         delta=delta)
+    labels = [f"p{i}" for i in range(len(zs))]
+    field = residual(Configuration(zs, signs, labels, 10.0), window, table)
+    flipped = residual(Configuration(zs, [-s for s in signs], labels, 10.0),
+                       window, table)
+    assert np.array_equal(flipped.u, -field.u)
+    assert np.array_equal(flipped.E, -field.E)
+    assert np.array_equal(flipped.weight, field.weight)
+
+
 def test_superposition_field(table):
     cfg = two_point_config(8.0)
     w = residual(cfg, FieldWindow(0j, 2.0), table)
